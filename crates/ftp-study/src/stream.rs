@@ -33,7 +33,7 @@
 use crate::checkpoint::{Checkpoint, CheckpointError};
 use crate::study::{run_partition, StudyConfig, StudyResults};
 use analysis::StreamingAggregate;
-use netsim::Simulator;
+use netsim::{batch_of, Ipv4Net, Simulator};
 use std::fmt;
 use std::io::Write;
 use std::path::PathBuf;
@@ -187,10 +187,11 @@ struct ShardRun {
     obs: Option<obs::Report>,
 }
 
-/// Shared append-only sink for per-batch journal flushes. Shards drain
-/// their recorder's journals after every batch and append under the
-/// lock; lines within a batch are in ip order (the recorder drains a
-/// `BTreeMap`), so a single-shard run's file is fully deterministic.
+/// Shared append-only sink for per-batch journal flushes. After every
+/// batch a shard takes the lock and its recorder renders that cell's
+/// journals straight into the buffered writer. A cell's lines stay
+/// contiguous and in ip order (the recorder sorts its event log at
+/// drain), so a single-shard run's file is fully deterministic.
 struct JournalSink {
     out: Mutex<std::io::BufWriter<std::fs::File>>,
 }
@@ -203,17 +204,8 @@ impl JournalSink {
 
     /// Drains the installed recorder's finished journals into the file.
     fn flush_batch(&self) -> Result<(), StreamError> {
-        let mut lines = Vec::new();
-        obs::drain_journal(&mut lines);
-        if lines.is_empty() {
-            return Ok(());
-        }
         let mut out = self.out.lock().expect("journal sink poisoned");
-        for line in &lines {
-            out.write_all(line.as_bytes()).map_err(StreamError::Io)?;
-            out.write_all(b"\n").map_err(StreamError::Io)?;
-        }
-        Ok(())
+        obs::write_journal(&mut *out).map_err(StreamError::Io)
     }
 
     fn finish(&self) -> Result<(), StreamError> {
@@ -327,13 +319,12 @@ fn stream_shard_batches(
     // cut paid for from scratch at every `(shard, batch)` cell.
     let mut sim = Simulator::new(seed);
     let buckets = plan.bucket_shard((index, shards), batches);
-    let shard_order = {
+    let mut batch_orders = {
         let mut sc = ScanConfig::tcp21(cfg.population.space, seed ^ 0x5ca);
         sc.blocklist = Blocklist::standard();
         sc.hash_shard = Some(HashShard { seed, index, shards });
-        sc.materialize_order()
+        split_orbit(&sc.materialize_order(), cfg.population.space, seed, batches)
     };
-    let space = cfg.population.space;
 
     for (executed, batch) in (start_batch..batches).enumerate() {
         if opts.interrupt_after_batches.is_some_and(|limit| executed as u64 >= limit) {
@@ -357,20 +348,12 @@ fn stream_shard_batches(
             let _span = obs::span!("stage.worldgen");
             let _ = plan.materialize_bucket(&mut sim, &buckets, batch);
         }
-        let hash_batch = HashBatch { seed, index: batch, batches };
-        // Filtering the shard's orbit preserves relative order, so this
-        // equals the order a per-cell `materialize_order` would produce.
-        let batch_order: Vec<u64> = shard_order
-            .iter()
-            .copied()
-            .filter(|&ix| hash_batch.contains(space.addr_at(ix)))
-            .collect();
         let out = run_partition(
             cfg,
             &mut sim,
             Some(HashShard { seed, index, shards }),
-            Some(hash_batch),
-            Some(batch_order),
+            Some(HashBatch { seed, index: batch, batches }),
+            Some(std::mem::take(&mut batch_orders[batch as usize])),
         );
 
         aggregate.fold_scan(out.ips_scanned, out.open_port);
@@ -408,6 +391,24 @@ fn stream_shard_batches(
     harvest_shard_obs(&sim);
     drop(shard_span);
     Ok((aggregate, batches))
+}
+
+/// Splits a shard's scan orbit into one probe order per batch, hashing
+/// each address once ([`batch_of`]). Splitting preserves
+/// relative order, so each piece equals the order a per-cell
+/// `materialize_order` would produce.
+fn split_orbit(orbit: &[u64], space: Ipv4Net, seed: u64, batches: u64) -> Vec<Vec<u64>> {
+    let owner: Vec<u64> =
+        orbit.iter().map(|&ix| batch_of(seed, space.addr_at(ix), batches)).collect();
+    let mut sizes = vec![0usize; batches as usize];
+    for &b in &owner {
+        sizes[b as usize] += 1;
+    }
+    let mut orders: Vec<Vec<u64>> = sizes.into_iter().map(Vec::with_capacity).collect();
+    for (&ix, &b) in orbit.iter().zip(&owner) {
+        orders[b as usize].push(ix);
+    }
+    orders
 }
 
 /// Harvests the simulator's unconditionally-maintained wheel statistics

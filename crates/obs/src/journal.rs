@@ -23,6 +23,7 @@
 //! parse by position or by name and CI catches drift.
 
 use std::fmt::Write as _;
+use std::io::{self, Write};
 use std::net::Ipv4Addr;
 
 /// Journal line format version; bumped on any schema change.
@@ -126,6 +127,28 @@ impl HostJournal {
         HostJournal { ip: u32::from(ip), shard, batch, ..HostJournal::default() }
     }
 
+    /// Empties the record for the next host, keeping the timelines'
+    /// capacity (the drain folds every host through one scratch record).
+    fn reset(&mut self, ip: u32, shard: u64, batch: u64) {
+        self.ip = ip;
+        self.shard = shard;
+        self.batch = batch;
+        self.probe_tx.clear();
+        self.probe_rx.clear();
+        self.verdict = None;
+        self.faults.clear();
+        self.phases.clear();
+        self.retries.clear();
+        self.replies = [0; REPLY_CLASSES];
+        self.listing_bytes = 0;
+        self.requests = 0;
+        self.files = 0;
+        self.login = None;
+        self.gave_up = None;
+        self.start_us = None;
+        self.end_us = None;
+    }
+
     /// Folds one event, stamped at `sim_us`, into the record.
     pub fn note(&mut self, sim_us: u64, ev: &JournalEvent) {
         match *ev {
@@ -156,76 +179,199 @@ impl HostJournal {
         }
     }
 
-    /// Renders the journal as one versioned JSONL line (no trailing
-    /// newline). Key order is part of the v1 schema and pinned by the
-    /// golden test — do not reorder without bumping [`JOURNAL_VERSION`].
-    pub fn render(&self, out: &mut String) {
-        let ip = Ipv4Addr::from(self.ip);
-        let _ = write!(
-            out,
-            "{{\"v\":{JOURNAL_VERSION},\"ip\":\"{ip}\",\"shard\":{},\"batch\":{}",
-            self.shard, self.batch
-        );
-        out.push_str(",\"probe_tx\":[");
-        for (i, (us, attempt)) in self.probe_tx.iter().enumerate() {
-            let _ = write!(out, "{}[{us},{attempt}]", if i == 0 { "" } else { "," });
+    /// Appends the journal as one versioned JSONL line (no trailing
+    /// newline) to `out`. Key order is part of the v1 schema and pinned
+    /// by the golden test — do not reorder without bumping
+    /// [`JOURNAL_VERSION`]. Numbers and the address are formatted by
+    /// hand: this runs once per probed address.
+    pub fn render(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(b"{\"v\":");
+        push_u64(out, JOURNAL_VERSION);
+        out.extend_from_slice(b",\"ip\":\"");
+        push_ipv4(out, self.ip);
+        out.extend_from_slice(b"\",\"shard\":");
+        push_u64(out, self.shard);
+        out.extend_from_slice(b",\"batch\":");
+        push_u64(out, self.batch);
+        out.extend_from_slice(b",\"probe_tx\":[");
+        for (i, &(us, attempt)) in self.probe_tx.iter().enumerate() {
+            open_pair(out, i, us);
+            push_u64(out, u64::from(attempt));
+            out.push(b']');
         }
-        out.push_str("],\"probe_rx\":[");
-        for (i, (us, status)) in self.probe_rx.iter().enumerate() {
-            let _ = write!(out, "{}[{us},\"{status}\"]", if i == 0 { "" } else { "," });
-        }
-        out.push_str("],\"verdict\":");
+        out.extend_from_slice(b"],\"probe_rx\":[");
+        render_labels(&self.probe_rx, out);
+        out.extend_from_slice(b"],\"verdict\":");
         render_opt_str(self.verdict, out);
-        out.push_str(",\"faults\":[");
-        for (i, (us, kind)) in self.faults.iter().enumerate() {
-            let _ = write!(out, "{}[{us},\"{kind}\"]", if i == 0 { "" } else { "," });
+        out.extend_from_slice(b",\"faults\":[");
+        render_labels(&self.faults, out);
+        out.extend_from_slice(b"],\"phases\":[");
+        render_labels(&self.phases, out);
+        out.extend_from_slice(b"],\"retries\":[");
+        for (i, &(us, attempt, backoff)) in self.retries.iter().enumerate() {
+            open_pair(out, i, us);
+            push_u64(out, u64::from(attempt));
+            out.push(b',');
+            push_u64(out, backoff);
+            out.push(b']');
         }
-        out.push_str("],\"phases\":[");
-        for (i, (us, phase)) in self.phases.iter().enumerate() {
-            let _ = write!(out, "{}[{us},\"{phase}\"]", if i == 0 { "" } else { "," });
+        out.extend_from_slice(b"],\"replies\":[");
+        for (i, &n) in self.replies.iter().enumerate() {
+            if i > 0 {
+                out.push(b',');
+            }
+            push_u64(out, n);
         }
-        out.push_str("],\"retries\":[");
-        for (i, (us, attempt, backoff)) in self.retries.iter().enumerate() {
-            let _ = write!(out, "{}[{us},{attempt},{backoff}]", if i == 0 { "" } else { "," });
-        }
-        out.push_str("],\"replies\":[");
-        for (i, n) in self.replies.iter().enumerate() {
-            let _ = write!(out, "{}{n}", if i == 0 { "" } else { "," });
-        }
-        let _ = write!(
-            out,
-            "],\"listing_bytes\":{},\"requests\":{},\"files\":{}",
-            self.listing_bytes, self.requests, self.files
-        );
-        out.push_str(",\"login\":");
+        out.extend_from_slice(b"],\"listing_bytes\":");
+        push_u64(out, self.listing_bytes);
+        out.extend_from_slice(b",\"requests\":");
+        push_u64(out, u64::from(self.requests));
+        out.extend_from_slice(b",\"files\":");
+        push_u64(out, self.files);
+        out.extend_from_slice(b",\"login\":");
         render_opt_str(self.login, out);
-        out.push_str(",\"gave_up\":");
+        out.extend_from_slice(b",\"gave_up\":");
         render_opt_str(self.gave_up, out);
-        out.push_str(",\"start_us\":");
+        out.extend_from_slice(b",\"start_us\":");
         render_opt_num(self.start_us, out);
-        out.push_str(",\"end_us\":");
+        out.extend_from_slice(b",\"end_us\":");
         render_opt_num(self.end_us, out);
-        out.push('}');
+        out.push(b'}');
     }
 }
 
-fn render_opt_str(v: Option<&str>, out: &mut String) {
+/// Appends `n` in decimal.
+fn push_u64(out: &mut Vec<u8>, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[start..]);
+}
+
+/// Appends `ip` in dotted-quad form, as `Ipv4Addr`'s `Display` does.
+fn push_ipv4(out: &mut Vec<u8>, ip: u32) {
+    for (i, octet) in ip.to_be_bytes().into_iter().enumerate() {
+        if i > 0 {
+            out.push(b'.');
+        }
+        push_u64(out, u64::from(octet));
+    }
+}
+
+/// Opens the `i`-th `[sim_us,` tuple of a timeline array.
+fn open_pair(out: &mut Vec<u8>, i: usize, us: u64) {
+    if i > 0 {
+        out.push(b',');
+    }
+    out.push(b'[');
+    push_u64(out, us);
+    out.push(b',');
+}
+
+/// Renders a `[sim_us,"label"]` timeline; labels are `'static`
+/// identifiers written unescaped.
+fn render_labels(items: &[(u64, &'static str)], out: &mut Vec<u8>) {
+    for (i, &(us, label)) in items.iter().enumerate() {
+        open_pair(out, i, us);
+        out.push(b'"');
+        out.extend_from_slice(label.as_bytes());
+        out.extend_from_slice(b"\"]");
+    }
+}
+
+fn render_opt_str(v: Option<&str>, out: &mut Vec<u8>) {
     match v {
         Some(s) => {
-            out.push('"');
-            crate::recorder::escape_json(s, out);
-            out.push('"');
+            out.push(b'"');
+            if s.bytes().all(|b| b >= 0x20 && b != b'"' && b != b'\\') {
+                out.extend_from_slice(s.as_bytes());
+            } else {
+                let mut escaped = String::new();
+                crate::recorder::escape_json(s, &mut escaped);
+                out.extend_from_slice(escaped.as_bytes());
+            }
+            out.push(b'"');
         }
-        None => out.push_str("null"),
+        None => out.extend_from_slice(b"null"),
     }
 }
 
-fn render_opt_num(v: Option<u64>, out: &mut String) {
+fn render_opt_num(v: Option<u64>, out: &mut Vec<u8>) {
     match v {
-        Some(n) => {
-            let _ = write!(out, "{n}");
-        }
-        None => out.push_str("null"),
+        Some(n) => push_u64(out, n),
+        None => out.extend_from_slice(b"null"),
+    }
+}
+
+/// One event in the flat log: the host, its arrival order, and the
+/// coordinates the recorder stamped it with.
+#[derive(Debug, Clone, Copy)]
+struct LogEntry {
+    /// `ip << 32 | arrival seq`: sorting by this one key groups each
+    /// host's events together, in the order they arrived.
+    key: u64,
+    sim_us: u64,
+    batch: u64,
+    ev: JournalEvent,
+}
+
+/// A shard's host journals as a flat event log (DESIGN.md §9).
+///
+/// Recording is an O(1) push of the raw event; the per-host grouping
+/// is deferred to [`JournalLog::drain`], which sorts the log in place,
+/// folds each host's run of events into one reused scratch
+/// [`HostJournal`], and writes its line straight to the sink. The log
+/// keeps its capacity across drains, so a streamed run allocates for
+/// journaling only while the first batches grow it.
+#[derive(Debug, Default)]
+pub(crate) struct JournalLog {
+    shard: u64,
+    entries: Vec<LogEntry>,
+    host: HostJournal,
+    line: Vec<u8>,
+}
+
+impl JournalLog {
+    /// An empty log for shard `shard`.
+    pub(crate) fn new(shard: u64) -> Self {
+        JournalLog { shard, ..JournalLog::default() }
+    }
+
+    /// Appends one event for `ip`, stamped at `sim_us` in batch `batch`.
+    pub(crate) fn push(&mut self, ip: Ipv4Addr, sim_us: u64, batch: u64, ev: &JournalEvent) {
+        // The arrival seq is the log position; it must fit the key's low
+        // half for the sort to keep a host's events in arrival order.
+        let seq = self.entries.len() as u64;
+        assert!(seq < 1 << 32, "journal log holds 2^32 events; drain it more often");
+        let key = u64::from(u32::from(ip)) << 32 | seq;
+        self.entries.push(LogEntry { key, sim_us, batch, ev: *ev });
+    }
+
+    /// Writes one JSONL line per logged host to `out`, in address order
+    /// (each line in a single `write_all`), and empties the log. A
+    /// host's `batch` tag is the batch of its first event.
+    pub(crate) fn drain(&mut self, out: &mut dyn Write) -> io::Result<()> {
+        let JournalLog { shard, entries, host, line } = self;
+        entries.sort_unstable_by_key(|e| e.key);
+        let result = entries.chunk_by(|a, b| a.key >> 32 == b.key >> 32).try_for_each(|run| {
+            host.reset((run[0].key >> 32) as u32, *shard, run[0].batch);
+            for e in run {
+                host.note(e.sim_us, &e.ev);
+            }
+            line.clear();
+            host.render(line);
+            line.push(b'\n');
+            out.write_all(line)
+        });
+        entries.clear();
+        result
     }
 }
 
@@ -693,10 +839,83 @@ mod tests {
         j
     }
 
+    fn rendered(j: &HostJournal) -> String {
+        let mut line = Vec::new();
+        j.render(&mut line);
+        String::from_utf8(line).expect("journal lines are UTF-8")
+    }
+
+    fn drained(log: &mut JournalLog) -> Vec<ParsedJournal> {
+        let mut text = Vec::new();
+        log.drain(&mut text).expect("writing to memory cannot fail");
+        let text = String::from_utf8(text).expect("journal lines are UTF-8");
+        ParsedJournal::parse_file(&text).expect("every drained line parses")
+    }
+
+    #[test]
+    fn flat_log_groups_hosts_in_address_order() {
+        let (a, b, c) = (Ipv4Addr::new(10, 0, 0, 7), Ipv4Addr::new(10, 0, 0, 2), Ipv4Addr::new(9, 9, 9, 9));
+        let mut log = JournalLog::new(1);
+        log.push(a, 10, 0, &JournalEvent::ProbeSent { attempt: 1 });
+        log.push(b, 11, 0, &JournalEvent::ProbeSent { attempt: 1 });
+        log.push(a, 12, 0, &JournalEvent::ProbeReply { status: "open" });
+        log.push(c, 13, 0, &JournalEvent::ProbeSent { attempt: 1 });
+        log.push(b, 14, 0, &JournalEvent::ProbeSent { attempt: 2 });
+        let hosts = drained(&mut log);
+        let ips: Vec<Ipv4Addr> = hosts.iter().map(|j| j.ip).collect();
+        assert_eq!(ips, vec![c, b, a], "one line per host, in address order");
+        assert_eq!(hosts[1].probe_tx, vec![(11, 1), (14, 2)]);
+        assert_eq!(hosts[2].probe_rx, vec![(12, "open".to_owned())]);
+        assert!(hosts.iter().all(|j| j.shard == 1));
+    }
+
+    #[test]
+    fn flat_log_keeps_arrival_order_within_a_timestamp() {
+        let ip = Ipv4Addr::new(10, 0, 0, 1);
+        let mut log = JournalLog::new(0);
+        for phase in ["connecting", "banner", "user", "pass"] {
+            log.push(ip, 500, 0, &JournalEvent::Phase { phase });
+        }
+        let phases: Vec<String> = drained(&mut log)[0].phases.iter().map(|(_, p)| p.clone()).collect();
+        assert_eq!(phases, ["connecting", "banner", "user", "pass"]);
+    }
+
+    #[test]
+    fn flat_log_tags_a_host_with_its_first_batch() {
+        let ip = Ipv4Addr::new(10, 0, 0, 1);
+        let mut log = JournalLog::new(0);
+        log.push(ip, 1, 3, &JournalEvent::ProbeSent { attempt: 1 });
+        log.push(ip, 2, 4, &JournalEvent::ProbeReply { status: "open" });
+        assert_eq!(drained(&mut log)[0].batch, 3);
+    }
+
+    #[test]
+    fn flat_log_drain_empties_the_log() {
+        let mut log = JournalLog::new(0);
+        log.push(Ipv4Addr::new(10, 0, 0, 1), 1, 0, &JournalEvent::SessionStart);
+        assert_eq!(drained(&mut log).len(), 1);
+        assert!(log.entries.is_empty());
+        assert!(log.entries.capacity() > 0, "the log keeps its capacity across drains");
+        assert!(drained(&mut log).is_empty(), "a second drain writes nothing");
+    }
+
+    #[test]
+    fn hand_written_numbers_match_display() {
+        for n in [0, 7, 10, 99, 1_000, 123_456_789, u64::MAX] {
+            let mut out = Vec::new();
+            push_u64(&mut out, n);
+            assert_eq!(out, n.to_string().as_bytes());
+        }
+        for ip in [Ipv4Addr::new(0, 0, 0, 0), Ipv4Addr::new(4, 10, 200, 255)] {
+            let mut out = Vec::new();
+            push_ipv4(&mut out, u32::from(ip));
+            assert_eq!(out, ip.to_string().as_bytes());
+        }
+    }
+
     #[test]
     fn render_parse_roundtrip() {
-        let mut line = String::new();
-        sample().render(&mut line);
+        let line = rendered(&sample());
         assert!(line.starts_with("{\"v\":1,\"ip\":\"10.3.7.9\",\"shard\":2,\"batch\":5,"));
         let p = ParsedJournal::parse_line(&line).expect("line parses");
         assert_eq!(p.ip, Ipv4Addr::new(10, 3, 7, 9));
@@ -719,8 +938,7 @@ mod tests {
 
     #[test]
     fn normalization_strips_partition_coordinates() {
-        let mut line = String::new();
-        sample().render(&mut line);
+        let line = rendered(&sample());
         let p = ParsedJournal::parse_line(&line).unwrap();
         let n = p.normalized();
         assert_eq!(n.shard, 0);
@@ -734,8 +952,7 @@ mod tests {
 
     #[test]
     fn timeline_is_stable_and_ordered() {
-        let mut line = String::new();
-        sample().render(&mut line);
+        let line = rendered(&sample());
         let p = ParsedJournal::parse_line(&line).unwrap();
         let a = p.timeline();
         let b = p.timeline();
@@ -749,8 +966,7 @@ mod tests {
 
     #[test]
     fn summary_tallies_outcomes() {
-        let mut line = String::new();
-        sample().render(&mut line);
+        let line = rendered(&sample());
         let p = ParsedJournal::parse_line(&line).unwrap();
         let mut other = p.clone();
         other.ip = Ipv4Addr::new(10, 3, 7, 10);
@@ -772,8 +988,7 @@ mod tests {
     fn malformed_and_wrong_version_lines_are_rejected() {
         assert!(ParsedJournal::parse_line("not json").is_none());
         assert!(ParsedJournal::parse_line("{\"v\":99,\"ip\":\"1.2.3.4\"}").is_none());
-        let mut line = String::new();
-        sample().render(&mut line);
+        let line = rendered(&sample());
         assert!(ParsedJournal::parse_file(&format!("{line}\n\n{line}\n")).is_some());
         assert!(ParsedJournal::parse_file("{}\n").is_none());
     }

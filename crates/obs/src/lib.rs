@@ -374,22 +374,32 @@ pub fn journal_event(ip: std::net::Ipv4Addr, ev: &JournalEvent) {
     }
 }
 
-/// Drains the current thread's accumulated host journals as rendered
-/// JSONL lines (sorted by host address), clearing the recorder's
-/// buffer. The stream runner calls this after every batch so journal
-/// memory never outlives a `(shard, batch)` slice; journals still
-/// buffered at [`Recorder::finish`] time ride out in the [`Report`].
-pub fn drain_journal(out: &mut Vec<String>) {
+/// Renders the current thread's accumulated host journals into `out`
+/// as JSONL (one line per host, in address order) and clears the
+/// recorder's buffer. The stream runner calls this after every batch
+/// with its locked sink, so journal memory never outlives a
+/// `(shard, batch)` slice; journals still buffered at
+/// [`Recorder::finish`] time ride out in the [`Report`].
+pub fn write_journal(out: &mut dyn std::io::Write) -> std::io::Result<()> {
     #[cfg(feature = "enabled")]
     {
+        let mut result = Ok(());
         if enabled() {
-            with_recorder(|r| r.drain_journal(out));
+            with_recorder(|r| result = r.drain_journal(out));
         }
+        result
     }
     #[cfg(not(feature = "enabled"))]
     {
         let _ = out;
+        Ok(())
     }
+}
+
+/// [`write_journal`] into owned lines: appends one rendered JSONL line
+/// (no trailing newline) per host to `out`.
+pub fn drain_journal(out: &mut Vec<String>) {
+    write_journal(&mut recorder::LineSink::new(out)).expect("journal lines are UTF-8");
 }
 
 /// Records one [`JournalEvent`] for host `ip`:

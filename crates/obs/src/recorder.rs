@@ -8,12 +8,13 @@
 //! the simulation, which is how the determinism contract ("tracing
 //! observes, never perturbs") is kept.
 
-use crate::journal::{HostJournal, JournalEvent};
+use crate::journal::{JournalEvent, JournalLog};
 use crate::metrics::{Counter, Gauge, Hist, MetricsSnapshot};
 use crate::ObsConfig;
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::io;
 use std::net::Ipv4Addr;
 use std::time::Instant;
 
@@ -127,10 +128,12 @@ pub trait Recorder {
         let _ = (ip, sim_us, batch, ev);
     }
 
-    /// Moves the accumulated host journals out as rendered JSONL lines
-    /// (sorted by host address), clearing the buffer. Default: no-op.
-    fn drain_journal(&self, out: &mut Vec<String>) {
+    /// Renders the accumulated host journals into `out` as JSONL, one
+    /// newline-terminated line per host in address order, and clears
+    /// the buffer. Default: writes nothing.
+    fn drain_journal(&self, out: &mut dyn io::Write) -> io::Result<()> {
         let _ = out;
+        Ok(())
     }
 
     /// Takes one telemetry sample at sim-time `boundary_us` in stream
@@ -335,9 +338,9 @@ pub struct CollectingRecorder {
     stack: RefCell<Vec<Frame>>,
     agg: RefCell<BTreeMap<&'static str, SpanStat>>,
     trace: Option<RefCell<Vec<String>>>,
-    /// Host journals keyed by the host's u32 address, so drains render
-    /// in deterministic address order regardless of event arrival order.
-    journal: Option<RefCell<BTreeMap<u32, HostJournal>>>,
+    /// Host-journal events in arrival order; drains group them per host
+    /// and render in deterministic address order.
+    journal: Option<RefCell<JournalLog>>,
     /// Rendered telemetry CSV rows, in sample order.
     series: Option<RefCell<Vec<String>>>,
     /// Telemetry sampling interval (sim-µs); 0 when sampling is off.
@@ -367,7 +370,7 @@ impl CollectingRecorder {
             stack: RefCell::new(Vec::with_capacity(8)),
             agg: RefCell::new(BTreeMap::new()),
             trace: cfg.trace.then(|| RefCell::new(Vec::new())),
-            journal: cfg.journal.then(|| RefCell::new(BTreeMap::new())),
+            journal: cfg.journal.then(|| RefCell::new(JournalLog::new(shard))),
             series: (cfg.timeseries_every_us > 0).then(|| RefCell::new(Vec::new())),
             sample_every_us: cfg.timeseries_every_us,
             seq: Cell::new(0),
@@ -384,6 +387,42 @@ impl CollectingRecorder {
         if let Some(buf) = &self.trace {
             buf.borrow_mut().push(line);
         }
+    }
+}
+
+/// Splits written JSONL text into owned lines, one `String` per
+/// newline-terminated line: how the line-based exports
+/// ([`Report::journal`], [`crate::drain_journal`]) reuse the
+/// writer-based journal drain.
+pub(crate) struct LineSink<'a> {
+    lines: &'a mut Vec<String>,
+    partial: Vec<u8>,
+}
+
+impl<'a> LineSink<'a> {
+    pub(crate) fn new(lines: &'a mut Vec<String>) -> Self {
+        LineSink { lines, partial: Vec::new() }
+    }
+}
+
+impl io::Write for LineSink<'_> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        for piece in buf.split_inclusive(|&b| b == b'\n') {
+            match piece.split_last() {
+                Some((b'\n', line)) => {
+                    self.partial.extend_from_slice(line);
+                    let line = String::from_utf8(std::mem::take(&mut self.partial))
+                        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+                    self.lines.push(line);
+                }
+                _ => self.partial.extend_from_slice(piece),
+            }
+        }
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
     }
 }
 
@@ -517,19 +556,12 @@ impl Recorder for CollectingRecorder {
         let metrics = self.metrics.into_inner();
         let spans: Vec<SpanStat> = self.agg.into_inner().into_values().collect();
         let trace = self.trace.map(RefCell::into_inner).unwrap_or_default();
-        let journal = self
-            .journal
-            .map(|map| {
-                map.into_inner()
-                    .into_values()
-                    .map(|j| {
-                        let mut line = String::with_capacity(256);
-                        j.render(&mut line);
-                        line
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
+        let mut journal = Vec::new();
+        if let Some(log) = self.journal {
+            log.into_inner()
+                .drain(&mut LineSink::new(&mut journal))
+                .expect("journal lines are UTF-8");
+        }
         let series = self.series.map(RefCell::into_inner).unwrap_or_default();
         Report { metrics, spans, trace, journal, series }
     }
@@ -543,21 +575,15 @@ impl Recorder for CollectingRecorder {
     }
 
     fn journal(&self, ip: Ipv4Addr, sim_us: u64, batch: u64, ev: &JournalEvent) {
-        if let Some(map) = &self.journal {
-            map.borrow_mut()
-                .entry(u32::from(ip))
-                .or_insert_with(|| HostJournal::new(ip, self.shard, batch))
-                .note(sim_us, ev);
+        if let Some(log) = &self.journal {
+            log.borrow_mut().push(ip, sim_us, batch, ev);
         }
     }
 
-    fn drain_journal(&self, out: &mut Vec<String>) {
-        if let Some(map) = &self.journal {
-            for j in std::mem::take(&mut *map.borrow_mut()).into_values() {
-                let mut line = String::with_capacity(256);
-                j.render(&mut line);
-                out.push(line);
-            }
+    fn drain_journal(&self, out: &mut dyn io::Write) -> io::Result<()> {
+        match &self.journal {
+            Some(log) => log.borrow_mut().drain(out),
+            None => Ok(()),
         }
     }
 

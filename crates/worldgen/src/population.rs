@@ -97,11 +97,13 @@ impl PopulationSpec {
     /// for the population directly (`--servers 1000000`), so this
     /// constructor picks the smallest prefix whose size is at least 4×
     /// the server count — room for the non-FTP port-21 population and
-    /// the AS allocator's alignment slack.
+    /// the AS allocator's alignment slack. Where that slack falls short
+    /// (100,000 servers overflow a /13), the space grows one bit at a
+    /// time until the ASes fit; populations that fit keep the 4× space.
     pub fn sized(seed: u64, n: usize) -> Self {
         let need = (n as u64).saturating_mul(4).next_power_of_two().max(1 << 18);
         let prefix_len = 32 - need.trailing_zeros() as u8;
-        PopulationSpec {
+        let mut spec = PopulationSpec {
             seed,
             space: Ipv4Net::new(Ipv4Addr::new(4, 0, 0, 0), prefix_len),
             ftp_servers: n,
@@ -110,7 +112,15 @@ impl PopulationSpec {
             include_non_ftp: true,
             include_http: true,
             fault_fraction: 0.0,
+        };
+        // Same generator `plan_world` starts from; /6 is the widest
+        // prefix still aligned at 4.0.0.0.
+        while spec.space.prefix_len() > 6
+            && build_ases(&spec, &mut StdRng::seed_from_u64(seed)).is_err()
+        {
+            spec.space = Ipv4Net::new(spec.space.network(), spec.space.prefix_len() - 1);
         }
+        spec
     }
 
     /// Sets the hostile-host fraction (see
@@ -222,7 +232,9 @@ struct AsSlot {
 }
 
 /// Builds the AS registry and per-AS quotas.
-fn build_ases(spec: &PopulationSpec, rng: &mut StdRng) -> (AsRegistry, Vec<AsSlot>) {
+/// Fails with the prefix size it could not place when `spec.space` is
+/// too small for the population's ASes.
+fn build_ases(spec: &PopulationSpec, rng: &mut StdRng) -> Result<(AsRegistry, Vec<AsSlot>), u64> {
     let n = spec.ftp_servers as f64;
     let n_anon = n * rates::ANON_PER_FTP;
     let mut registry = AsRegistry::new();
@@ -231,7 +243,7 @@ fn build_ases(spec: &PopulationSpec, rng: &mut StdRng) -> (AsRegistry, Vec<AsSlo
     let space_base = u32::from(spec.space.network()) as u64;
     let space_size = spec.space.size();
 
-    let mut alloc = |advertised: u64, min_hosts: u64| -> Ipv4Net {
+    let mut alloc = |advertised: u64, min_hosts: u64| -> Result<Ipv4Net, u64> {
         // Round up to a power of two and align; cap any single AS at a
         // sixteenth of the space, and shrink (never below what its hosts
         // need) if the space is filling up.
@@ -244,14 +256,11 @@ fn build_ases(spec: &PopulationSpec, rng: &mut StdRng) -> (AsRegistry, Vec<AsSlo
             if aligned + size <= space_size {
                 cursor = aligned + size;
                 let prefix_len = 32 - size.trailing_zeros() as u8;
-                return Ipv4Net::new(Ipv4Addr::from((space_base + aligned) as u32), prefix_len);
+                return Ok(Ipv4Net::new(Ipv4Addr::from((space_base + aligned) as u32), prefix_len));
             }
-            assert!(
-                size > floor,
-                "address space {} too small for the population (need {} more)",
-                spec.space,
-                size
-            );
+            if size <= floor {
+                return Err(size);
+            }
             size /= 2;
         }
     };
@@ -264,7 +273,7 @@ fn build_ases(spec: &PopulationSpec, rng: &mut StdRng) -> (AsRegistry, Vec<AsSlo
         let adv_scaled =
             ((adv / rates::PAPER_FTP * n) as u64).max((ftp_scaled * 2.0) as u64 + 8);
         registry.register(asn, name, kind);
-        let prefix = alloc(adv_scaled, ftp_scaled.ceil() as u64 + 2);
+        let prefix = alloc(adv_scaled, ftp_scaled.ceil() as u64 + 2)?;
         registry.announce(asn, prefix);
         slots.push(AsSlot {
             asn,
@@ -302,7 +311,7 @@ fn build_ases(spec: &PopulationSpec, rng: &mut StdRng) -> (AsRegistry, Vec<AsSlo
         let asn = Asn(64_000 + i as u32);
         registry.register(asn, format!("Tail-AS-{i}"), kind);
         let adv = ((ftp_scaled * rng.random_range(2..12) as f64) as u64).max(16);
-        let prefix = alloc(adv, ftp_scaled.ceil() as u64 + 2);
+        let prefix = alloc(adv, ftp_scaled.ceil() as u64 + 2)?;
         registry.announce(asn, prefix);
         slots.push(AsSlot {
             asn,
@@ -314,7 +323,7 @@ fn build_ases(spec: &PopulationSpec, rng: &mut StdRng) -> (AsRegistry, Vec<AsSlo
         });
     }
     registry.freeze();
-    (registry, slots)
+    Ok((registry, slots))
 }
 
 /// Affinity between AS kinds and host categories, used as a weight
@@ -465,7 +474,9 @@ fn host_rng(seed: u64, ip: Ipv4Addr) -> StdRng {
 /// Panics if `spec.space` is too small to hold the population.
 pub fn plan_world(spec: &PopulationSpec) -> WorldPlan {
     let mut rng = StdRng::seed_from_u64(spec.seed);
-    let (registry, mut slots) = build_ases(spec, &mut rng);
+    let (registry, mut slots) = build_ases(spec, &mut rng).unwrap_or_else(|size| {
+        panic!("address space {} too small for the population (need {size} more)", spec.space)
+    });
     let n = spec.ftp_servers;
     let n_anon = (n as f64 * rates::ANON_PER_FTP).round() as usize;
     let boost = spec.rare_boost;
@@ -1492,6 +1503,20 @@ mod tests {
         assert!(spec.space.size() >= 4 * 300_000, "space {} too small", spec.space);
         let small = PopulationSpec::sized(3, 100);
         assert!(small.space.size() >= 1 << 18);
+    }
+
+    #[test]
+    fn sized_spec_grows_the_space_only_where_ases_would_not_fit() {
+        // 2,500 servers fit the 4× rule's /14 and keep it.
+        assert_eq!(PopulationSpec::sized(1, 2_500).space.prefix_len(), 14);
+        // 100,000 servers overflow the 4× rule's /13; the grown space
+        // plans, and every planned address lies inside it.
+        let spec = PopulationSpec::sized(1, 100_000);
+        assert!(spec.space.prefix_len() < 13, "space {} was not grown", spec.space);
+        let plan = plan_world(&spec);
+        assert_eq!(plan.plans.len(), 100_000);
+        assert!(plan.plans.iter().all(|p| spec.space.contains(p.truth.ip)));
+        assert!(plan.non_ftp.iter().all(|&(ip, _)| spec.space.contains(ip)));
     }
 
     #[test]

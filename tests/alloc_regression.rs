@@ -334,3 +334,49 @@ fn streamed_study_allocation_count_stays_near_in_memory_path() {
          (ceiling 1.5×) — the streaming allocation diet regressed"
     );
 }
+
+/// Allocation-count tripwire for the flight recorder: a 1-shard
+/// streamed study with its journal written to a file allocates at most
+/// 1.1× what the same study makes with no recorder at all. Journal
+/// events land in a flat per-shard log that keeps its capacity across
+/// batches and render straight into the sink, so journaling every
+/// probed address costs a handful of allocations per run, not several
+/// per address (the per-host map it replaced made ~9.5× the
+/// journal-off count).
+#[test]
+fn streamed_journal_allocations_stay_near_journal_off() {
+    let _guard = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+
+    let off_cfg = StudyConfig::small(SEED, 150);
+    let mut on_cfg = off_cfg.clone();
+    on_cfg.obs = obs::ObsConfig { journal: true, ..obs::ObsConfig::default() };
+    let journal = std::env::temp_dir()
+        .join(format!("ftpcloud_alloc_journal_count_{}.jsonl", std::process::id()));
+    let off_opts = StreamOptions::new(25);
+    let on_opts = StreamOptions { journal_path: Some(journal.clone()), ..StreamOptions::new(25) };
+
+    // Warm both paths once so lazy initialization doesn't count.
+    drop(run_study_streamed(&off_cfg, &off_opts));
+    drop(run_study_streamed(&on_cfg, &on_opts));
+
+    bench::reset();
+    let off = run_study_streamed(&off_cfg, &off_opts).expect("streamed study runs");
+    let off_allocs = bench::snapshot().allocs;
+    drop(off);
+
+    bench::reset();
+    let on = run_study_streamed(&on_cfg, &on_opts).expect("streamed study runs");
+    let on_allocs = bench::snapshot().allocs;
+    drop(on);
+    let lines = std::fs::read_to_string(&journal).expect("journal written").lines().count();
+    let _ = std::fs::remove_file(&journal);
+    assert!(lines > 0, "the journal-on run wrote its journal");
+
+    assert!(off_allocs > 0, "allocator saw no streamed allocations — counter broken?");
+    let ceiling = (off_allocs as f64 * 1.1) as u64;
+    assert!(
+        on_allocs <= ceiling,
+        "journal-on streamed study made {on_allocs} allocs vs {off_allocs} journal-off \
+         (ceiling 1.1×) — journaling is allocating per host again"
+    );
+}

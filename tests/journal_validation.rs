@@ -192,3 +192,35 @@ fn streamed_600_server_journal_explains_a_gave_up_host() {
     assert!(timeline.contains("connect retry"), "timeline shows backoff:\n{timeline}");
     assert!(timeline.contains("gave_up="), "timeline shows the outcome:\n{timeline}");
 }
+
+/// FNV-1a 64-bit digest, used to pin whole journal files byte for byte.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// The journal's bytes are pinned, not just its schema: a 1-shard
+/// streamed journal file and the in-memory `Report::journal_jsonl()`
+/// of a hostile world hash to digests recorded before the recorder's
+/// storage was rewritten, so any change to line content, line order, or
+/// per-cell grouping fails here.
+#[test]
+fn journal_bytes_match_pinned_digests() {
+    let mut cfg = StudyConfig::small(SEED, SERVERS);
+    cfg.obs = journal_obs();
+    let path = temp("digest.jsonl");
+    let _ = streamed_report(&cfg, 1, Some(&path));
+    let streamed = std::fs::read(&path).expect("journal written");
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(streamed.len(), 74_768_683, "1-shard streamed journal length changed");
+    assert_eq!(fnv1a(&streamed), 0xf36a_d80b_27bb_d8b1, "1-shard streamed journal bytes changed");
+
+    let in_memory = study(0.5, 1, true).obs.expect("collection requested").journal_jsonl();
+    assert_eq!(in_memory.len(), 75_040_166, "in-memory journal length changed");
+    assert_eq!(
+        fnv1a(in_memory.as_bytes()),
+        0x606b_8377_bd42_9ede,
+        "in-memory journal bytes changed (50% faults, K=1)"
+    );
+}
