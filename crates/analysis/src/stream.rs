@@ -529,7 +529,7 @@ impl StreamingAggregate {
             }
             fields
                 .iter()
-                .map(|f| f.parse::<u64>().map_err(|_| format!("bad number `{f}` in `{key}`")))
+                .map(|f| decimal(f).ok_or_else(|| format!("bad number `{f}` in `{key}`")))
                 .collect()
         };
 
@@ -585,9 +585,9 @@ impl StreamingAggregate {
         let writable_servers = nums(&next("writable")?, "writable", 1)?[0];
         let mut writable_asns = BTreeSet::new();
         for field in &next("writable_asns")? {
-            let asn: u32 = field
-                .parse()
-                .map_err(|_| format!("bad ASN `{field}` in `writable_asns`"))?;
+            let asn = decimal(field)
+                .and_then(|a| u32::try_from(a).ok())
+                .ok_or_else(|| format!("bad ASN `{field}` in `writable_asns`"))?;
             writable_asns.insert(asn);
         }
         let soho_servers = nums(&next("soho")?, "soho", 1)?[0];
@@ -641,17 +641,27 @@ impl StreamingAggregate {
                 }
                 Ok((unescape(&fields[0])?, nums(&fields[1..], head, n)?))
             };
+            let duplicate = |key: &str| format!("duplicate `{head}` key `{key}`");
             match head {
                 "device" => {
                     let (name, n) = keyed(3)?;
+                    if agg.devices.contains_key(&name) {
+                        return Err(duplicate(&name));
+                    }
                     agg.devices.insert(name, (n[0], n[1], n[2] != 0));
                 }
                 "ext" => {
                     let (name, n) = keyed(2)?;
+                    if agg.extensions.contains_key(&name) {
+                        return Err(duplicate(&name));
+                    }
                     agg.extensions.insert(name, (n[0], n[1]));
                 }
                 "cve" => {
                     let (id, n) = keyed(1)?;
+                    if agg.cves.contains_key(&id) {
+                        return Err(duplicate(&id));
+                    }
                     agg.cves.insert(id, n[0]);
                 }
                 "end" => return Ok(agg),
@@ -660,6 +670,16 @@ impl StreamingAggregate {
         }
         Err("missing `end` line".to_owned())
     }
+}
+
+/// Parses a number exactly as [`StreamingAggregate::encode`] writes it:
+/// ASCII digits only, so a sign (`+5`, which `str::parse` accepts) is
+/// rejected.
+fn decimal(s: &str) -> Option<u64> {
+    if s.is_empty() || !s.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    s.parse().ok()
 }
 
 /// Percent-escapes everything outside `[A-Za-z0-9._-]` so map keys
@@ -686,8 +706,12 @@ fn unescape(s: &str) -> Result<String, String> {
             let hex = s
                 .get(i + 1..i + 3)
                 .ok_or_else(|| format!("truncated escape in `{s}`"))?;
-            let b = u8::from_str_radix(hex, 16)
-                .map_err(|_| format!("bad escape `%{hex}` in `{s}`"))?;
+            // Two hex digits exactly as `escape` writes them:
+            // `from_str_radix` alone would also take a sign (`%+A`).
+            let b = Some(hex)
+                .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
+                .and_then(|h| u8::from_str_radix(h, 16).ok())
+                .ok_or_else(|| format!("bad escape `%{hex}` in `{s}`"))?;
             out.push(b);
             i += 3;
         } else {
@@ -950,6 +974,21 @@ mod tests {
         // Unknown trailing line.
         let extra = text.replace("end\n", "mystery 1\nend\n");
         assert!(StreamingAggregate::decode(&extra).is_err());
+        // A repeated map key would silently overwrite the earlier line.
+        for prefix in ["device ", "ext ", "cve "] {
+            let line = text.lines().find(|l| l.starts_with(prefix)).expect("corpus has the key");
+            let repeated = text.replace("end\n", &format!("{line}\nend\n"));
+            let err = StreamingAggregate::decode(&repeated).unwrap_err();
+            assert!(err.contains("duplicate"), "{prefix}: {err}");
+        }
+        // A signed escape `%+A` is not one `escape` writes.
+        let signed = text.replace("end\n", "ext a%+A 1 1\nend\n");
+        let err = StreamingAggregate::decode(&signed).unwrap_err();
+        assert!(err.contains("%+A"), "{err}");
+        // A signed number `+5` is not one `encode` writes.
+        let plus = text.replacen("scan 1000", "scan +1000", 1);
+        let err = StreamingAggregate::decode(&plus).unwrap_err();
+        assert!(err.contains("+1000"), "{err}");
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! One benchmark per table/figure of the paper: each prints the
-//! regenerated artifact once, then measures the cost of computing it
-//! from the enumeration records.
+//! regenerated artifact once, then measures the cost of rendering it
+//! from the aggregate fold (or, for the record-only artifacts, from the
+//! enumeration records and per-AS tallies).
 //!
 //! Run with `cargo bench -p bench` (or `--bench paper_tables`). The
 //! printed tables are the reproduction's evaluation output; the timing
@@ -8,7 +9,7 @@
 
 use analysis::{ases, bounce, campaigns, cve, exposure, fingerprint, ftps, writable};
 use criterion::{criterion_group, criterion_main, Criterion};
-use ftp_study::{run_study, tables, StudyConfig, StudyResults};
+use ftp_study::{aggregate_of, run_study, tables, StudyConfig, StudyResults};
 use std::hint::black_box;
 use std::sync::OnceLock;
 
@@ -20,31 +21,37 @@ fn study() -> &'static StudyResults {
     })
 }
 
-fn bench_table(c: &mut Criterion, id: &str, render: fn(&StudyResults) -> String) {
-    let s = study();
-    // Print the regenerated artifact once.
-    println!("{}", render(s));
-    c.bench_function(id, |b| b.iter(|| black_box(render(black_box(s)))));
+/// Prints one regenerated artifact, then times rendering it.
+fn bench_render(c: &mut Criterion, id: &str, render: impl Fn() -> String) {
+    println!("{}", render());
+    c.bench_function(id, |b| b.iter(|| black_box(render())));
 }
 
 fn tables_bench(c: &mut Criterion) {
-    bench_table(c, "table01_funnel", tables::table01_funnel);
-    bench_table(c, "table02_classes", tables::table02_classes);
-    bench_table(c, "table03_as50", tables::table03_as50);
-    bench_table(c, "table04_embedded", tables::table04_device_classes);
-    bench_table(c, "table05_provider", tables::table05_provider_devices);
-    bench_table(c, "table06_topas", tables::table06_top_ases);
-    bench_table(c, "table07_standalone", tables::table07_consumer_devices);
-    bench_table(c, "table08_ext", tables::table08_extensions);
-    bench_table(c, "table09_sensitive", tables::table09_sensitive);
-    bench_table(c, "table10_breakout", tables::table10_breakout);
-    bench_table(c, "table11_cve", tables::table11_cves);
-    bench_table(c, "table12_certs", tables::table12_certs);
-    bench_table(c, "table13_devcerts", tables::table13_device_certs);
-    bench_table(c, "fig01_cdf", tables::fig01_cdf);
-    bench_table(c, "sec6_campaigns", tables::section6_malice);
-    bench_table(c, "sec7_bounce", tables::section7_bounce);
-    bench_table(c, "sec9_ftps", tables::section9_ftps);
+    let s = study();
+    // The shared artifacts render from one aggregate fold, as in
+    // `full_report`; the fold itself is timed separately.
+    c.bench_function("aggregate_of", |b| b.iter(|| black_box(aggregate_of(black_box(s)))));
+    let agg = &aggregate_of(s);
+    let tallies = &tables::as_tallies(s);
+    let registry = &s.truth.registry;
+    bench_render(c, "table01_funnel", || tables::table01_funnel(black_box(agg)));
+    bench_render(c, "table02_classes", || tables::table02_classes(black_box(agg)));
+    bench_render(c, "table03_as50", || tables::table03_as50(black_box(tallies), registry));
+    bench_render(c, "table04_embedded", || tables::table04_device_classes(black_box(agg)));
+    bench_render(c, "table05_provider", || tables::table05_07_devices(black_box(agg), true));
+    bench_render(c, "table06_topas", || tables::table06_top_ases(black_box(tallies), registry));
+    bench_render(c, "table07_standalone", || tables::table05_07_devices(black_box(agg), false));
+    bench_render(c, "table08_ext", || tables::table08_extensions(black_box(agg)));
+    bench_render(c, "table09_sensitive", || tables::table09_sensitive(black_box(agg)));
+    bench_render(c, "table10_breakout", || tables::table10_breakout(black_box(s)));
+    bench_render(c, "table11_cve", || tables::table11_cves(black_box(agg)));
+    bench_render(c, "table12_certs", || tables::table12_certs(black_box(s)));
+    bench_render(c, "table13_devcerts", || tables::table13_device_certs(black_box(s)));
+    bench_render(c, "fig01_cdf", || tables::fig01_cdf(black_box(tallies)));
+    bench_render(c, "sec6_campaigns", || tables::section6_malice(black_box(agg)));
+    bench_render(c, "sec7_bounce", || tables::section7_bounce(black_box(agg)));
+    bench_render(c, "sec9_ftps", || tables::section9_ftps(black_box(s)));
 }
 
 /// Raw analysis kernels (no rendering) — where the analytic time goes.

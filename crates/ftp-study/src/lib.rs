@@ -18,7 +18,8 @@
 //! let results = run_study(&StudyConfig::small(7, 150));
 //! let funnel = results.funnel();
 //! assert!(funnel.anonymous > 0);
-//! println!("{}", ftp_study::tables::table01_funnel(&results));
+//! let agg = ftp_study::aggregate_of(&results);
+//! println!("{}", ftp_study::tables::table01_funnel(&agg));
 //! ```
 
 #![forbid(unsafe_code)]

@@ -522,10 +522,10 @@ pub fn run_study_streamed(
     })))
 }
 
-/// Builds the streaming aggregate from legacy in-memory results with a
-/// single pass over the record vector — the bridge the equivalence
-/// tests (and the legacy CLI path) use to compare both pipelines'
-/// reports byte for byte.
+/// Builds the streaming aggregate from in-memory results with a single
+/// pass over the record vector. [`crate::full_report`] renders its
+/// shared tables from this fold, and the equivalence tests use it to
+/// compare both pipelines' reports byte for byte.
 pub fn aggregate_of(results: &StudyResults) -> StreamingAggregate {
     let mut agg = StreamingAggregate::default();
     agg.fold_scan(results.ips_scanned, results.open_port);

@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use ftp_study::{run_study, tables, StudyConfig};
+use ftp_study::{aggregate_of, run_study, tables, StudyConfig};
 
 fn main() {
     // A 1 000-server world with deterministic seed 42. `small` boosts
@@ -18,8 +18,9 @@ fn main() {
     );
     let results = run_study(&cfg);
 
-    println!("{}", tables::table01_funnel(&results));
-    println!("{}", tables::table02_classes(&results));
+    let agg = aggregate_of(&results);
+    println!("{}", tables::table01_funnel(&agg));
+    println!("{}", tables::table02_classes(&agg));
 
     let funnel = results.funnel();
     println!(

@@ -42,23 +42,36 @@
 //! ```
 
 use ftp_study::{
-    run_study, run_study_sharded, run_study_streamed, tables, StreamOptions, StreamOutcome,
-    StudyConfig,
+    aggregate_of, run_study, run_study_sharded, run_study_streamed, tables, StreamOptions,
+    StreamOutcome, StudyConfig,
 };
 use worldgen::PopulationSpec;
 
+/// The numeric value of `name`, or `None` when the flag is absent. A
+/// present flag whose value is missing or not a number is a usage error
+/// (exit 2), never a silent fall-back to the default.
 fn flag(args: &[String], name: &str) -> Option<u64> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|ix| args.get(ix + 1))
-        .and_then(|v| v.parse().ok())
+    let value = str_flag(args, name)?;
+    match value.parse() {
+        Ok(n) => Some(n),
+        Err(_) => {
+            eprintln!("error: {name} expects a number, got {value:?}");
+            std::process::exit(2);
+        }
+    }
 }
 
+/// The value following `name`, or `None` when the flag is absent. A
+/// present flag with nothing after it is a usage error (exit 2).
 fn str_flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|ix| args.get(ix + 1))
-        .map(String::as_str)
+    let ix = args.iter().position(|a| a == name)?;
+    match args.get(ix + 1) {
+        Some(value) => Some(value),
+        None => {
+            eprintln!("error: {name} expects a value");
+            std::process::exit(2);
+        }
+    }
 }
 
 fn switch(args: &[String], name: &str) -> bool {
@@ -293,7 +306,7 @@ fn main() {
                 StudyConfig::small(seed, servers).with_fault_fraction(faults as f64 / 100.0);
             cfg.obs = obs_cli.cfg;
             let results = run_study_sharded(&cfg, shards);
-            println!("{}", tables::table01_funnel(&results));
+            println!("{}", tables::table01_funnel(&aggregate_of(&results)));
             write_obs_outputs(results.obs.as_ref(), &obs_cli, obs_cli.journal);
         }
         Some("explain") => {

@@ -334,3 +334,35 @@ fn enumerator_counts_unparsed_nothing_on_clean_servers() {
     let unparsed: u64 = s.records.iter().map(|r| r.unparsed_lines).sum();
     assert_eq!(unparsed, 0, "listing parser failed on generated output");
 }
+
+/// FNV-1a 64-bit digest, used to pin whole report texts byte for byte.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// Both reports' bytes are pinned, so a change to how any table is
+/// rendered fails here: `full_report` of a clean and of a 50%-hostile
+/// world (K=1), and `stream_report` of a 2-shard streamed run of the
+/// clean one. The digests were recorded before the shared renderers
+/// were split out of the two reports.
+#[test]
+fn report_bytes_match_pinned_digests() {
+    let clean = StudyConfig::small(7177, 400);
+    let full = ftp_study::full_report(&run_study(&clean));
+    assert_eq!(full.len(), 12_735, "clean full_report length changed");
+    assert_eq!(fnv1a(full.as_bytes()), 0xfe20_de1a_2368_c4f1, "clean full_report bytes changed");
+
+    let hostile = ftp_study::full_report(&run_study(&clean.clone().with_fault_fraction(0.5)));
+    assert_eq!(hostile.len(), 12_692, "hostile full_report length changed");
+    assert_eq!(fnv1a(hostile.as_bytes()), 0x17da_6534_fe72_ee40, "hostile full_report bytes changed (50% faults)");
+
+    let opts = ftp_study::StreamOptions { shards: 2, ..ftp_study::StreamOptions::new(64) };
+    let streamed = match ftp_study::run_study_streamed(&clean, &opts).expect("streamed study runs") {
+        ftp_study::StreamOutcome::Complete(r) => ftp_study::stream_report(&r.aggregate, &r.spec),
+        ftp_study::StreamOutcome::Interrupted { .. } => panic!("no interrupt requested"),
+    };
+    assert_eq!(streamed.len(), 8_524, "streamed report length changed");
+    assert_eq!(fnv1a(streamed.as_bytes()), 0xfc1b_4802_cce1_1f7e, "streamed report bytes changed (2 shards, batch 64)");
+}
