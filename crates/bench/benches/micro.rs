@@ -2,10 +2,12 @@
 //! ablation comparisons DESIGN.md §5 calls out.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use ftp_proto::decimal::push_u64;
 use ftp_proto::listing::{self, ListingFormat};
 use ftp_proto::{Banner, Command, HostPort, Reply};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use simvfs::{FileAttrs, PathScratch, Vfs};
 use std::hint::black_box;
 use zscan::CyclicPermutation;
 
@@ -50,38 +52,93 @@ fn scan_order_ablation(c: &mut Criterion) {
     g.finish();
 }
 
-fn listing_parse_bench(c: &mut Criterion) {
+const LISTING_FORMATS: [(ListingFormat, &str); 4] = [
+    (ListingFormat::Unix, "unix"),
+    (ListingFormat::Dos, "dos"),
+    (ListingFormat::Eplf, "eplf"),
+    (ListingFormat::Mlsd, "mlsd"),
+];
+
+/// 1,000 directory entries shaped like a generated listing.
+fn listing_entries() -> Vec<listing::ListingEntry> {
     let mut rng = StdRng::seed_from_u64(1);
-    let mut bodies = std::collections::HashMap::new();
-    for (fmt, label) in [
-        (ListingFormat::Unix, "unix"),
-        (ListingFormat::Dos, "dos"),
-        (ListingFormat::Eplf, "eplf"),
-        (ListingFormat::Mlsd, "mlsd"),
-    ] {
+    (0..1_000)
+        .map(|i| listing::ListingEntry {
+            name: format!("file-{i:05}.dat"),
+            is_dir: rng.random_bool(0.1),
+            size: Some(rng.random_range(0..1_000_000_000)),
+            permissions: Some(ftp_proto::listing::Permissions::public_file()),
+            owner: Some("ftp".into()),
+            mtime: Some("Jun 18  2015".into()),
+            is_symlink: false,
+        })
+        .collect()
+}
+
+fn listing_parse_bench(c: &mut Criterion) {
+    let entries = listing_entries();
+    let mut g = c.benchmark_group("listing_parse_1k_lines");
+    for (fmt, label) in LISTING_FORMATS {
         let mut body = String::new();
-        for i in 0..1_000 {
-            let entry = listing::ListingEntry {
-                name: format!("file-{i:05}.dat"),
-                is_dir: rng.random_bool(0.1),
-                size: Some(rng.random_range(0..1_000_000_000)),
-                permissions: Some(ftp_proto::listing::Permissions::public_file()),
-                owner: Some("ftp".into()),
-                mtime: Some("Jun 18  2015".into()),
-                is_symlink: false,
-            };
-            body.push_str(&listing::render_line(&entry, fmt));
+        for entry in &entries {
+            body.push_str(&listing::render_line(entry, fmt));
             body.push_str("\r\n");
         }
-        bodies.insert(label, (fmt, body));
-    }
-    let mut g = c.benchmark_group("listing_parse_1k_lines");
-    for (label, (fmt, body)) in &bodies {
-        g.bench_function(*label, |b| {
-            b.iter(|| black_box(listing::parse_body(black_box(body), *fmt)))
+        g.bench_function(label, |b| {
+            b.iter(|| black_box(listing::parse_body(black_box(&body), fmt)))
         });
     }
     g.finish();
+}
+
+/// The ftpd `LIST` kernel: 1,000 entries rendered into one reused body.
+fn listing_render_bench(c: &mut Criterion) {
+    let entries = listing_entries();
+    let mut g = c.benchmark_group("listing_render_1k_lines");
+    for (fmt, label) in LISTING_FORMATS {
+        let mut body = String::new();
+        g.bench_function(label, |b| {
+            b.iter(|| {
+                body.clear();
+                for entry in &entries {
+                    listing::render_line_into(entry.as_entry_ref(), fmt, &mut body);
+                    body.push_str("\r\n");
+                }
+                black_box(body.len())
+            })
+        });
+    }
+    g.finish();
+}
+
+/// The worldgen deep-tree kernel: 400 `roll-NNN` directories of 18
+/// `IMG_NNNN.jpg` files each, inserted through directory handles in
+/// ascending name order.
+fn vfs_build_bench(c: &mut Criterion) {
+    let attrs = FileAttrs::public(2_000_000, "Jun 18  2015");
+    c.bench_function("vfs_build_deep_tree", |b| {
+        b.iter(|| {
+            let mut vfs = Vfs::new();
+            let mut path = PathScratch::new();
+            let mut name = String::new();
+            for roll in 0..400 {
+                name.clear();
+                name.push_str("roll-");
+                push_u64(&mut name, roll, 3, '0');
+                path.set("/share/photos");
+                path.push(&name);
+                let dir = vfs.dir_handle(path.as_str()).expect("fresh path");
+                for i in 0..18 {
+                    name.clear();
+                    name.push_str("IMG_");
+                    push_u64(&mut name, i, 4, '0');
+                    name.push_str(".jpg");
+                    vfs.add_file_in(dir, &name, attrs).expect("valid name");
+                }
+            }
+            black_box(vfs.node_count())
+        })
+    });
 }
 
 fn protocol_bench(c: &mut Criterion) {
@@ -141,6 +198,7 @@ fn reply_tolerance_bench(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().measurement_time(std::time::Duration::from_secs(2));
-    targets = scan_order_ablation, listing_parse_bench, protocol_bench, reply_tolerance_bench
+    targets = scan_order_ablation, listing_parse_bench, listing_render_bench, vfs_build_bench,
+        protocol_bench, reply_tolerance_bench
 }
 criterion_main!(benches);

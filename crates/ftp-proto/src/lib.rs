@@ -34,6 +34,7 @@
 pub mod banner;
 pub mod codec;
 pub mod command;
+pub mod decimal;
 pub mod error;
 pub mod hostport;
 pub mod listing;

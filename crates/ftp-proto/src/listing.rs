@@ -12,6 +12,7 @@
 //! here: UNIX-style listings expose an all-users read bit, DOS-style
 //! listings do not (the paper labels those files "unk-readability").
 
+use crate::decimal;
 use crate::error::ProtoError;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -92,17 +93,29 @@ impl Permissions {
     /// Renders the nine-character `rwxr-xr-x` suffix of a mode string.
     pub fn to_rwx(&self) -> String {
         let mut s = String::with_capacity(9);
-        let _ = fmt::Write::write_fmt(&mut s, format_args!("{self}"));
+        self.push_rwx(&mut s);
         s
+    }
+
+    /// Appends the nine-character `rwx` suffix to `out`: one table
+    /// lookup per permission group, no `core::fmt`.
+    fn push_rwx(&self, out: &mut String) {
+        for shift in [6u16, 3, 0] {
+            out.push_str(RWX_TRIOS[usize::from((self.bits >> shift) & 0o7)]);
+        }
     }
 
     /// Parses the nine-character `rwx` triple-group; returns `None` on
     /// unexpected characters (setuid `s`/`t` letters are accepted).
     pub fn parse_rwx(s: &str) -> Option<Self> {
-        // Mode strings are ASCII; a multi-byte character can never match
-        // an expected letter, so byte-wise inspection rejects exactly the
-        // same inputs a char-wise scan would.
-        let bytes = s.as_bytes();
+        Self::parse_rwx_bytes(s.as_bytes())
+    }
+
+    /// [`Permissions::parse_rwx`] over raw bytes. Mode strings are
+    /// ASCII; a multi-byte character can never match an expected
+    /// letter, so byte-wise inspection rejects exactly the same inputs a
+    /// char-wise scan would.
+    fn parse_rwx_bytes(bytes: &[u8]) -> Option<Self> {
         if bytes.len() != 9 {
             return None;
         }
@@ -124,14 +137,13 @@ impl Permissions {
     }
 }
 
+/// The `rwx` text of a three-bit permission group, indexed by its value.
+const RWX_TRIOS: [&str; 8] = ["---", "--x", "-w-", "-wx", "r--", "r-x", "rw-", "rwx"];
+
 impl fmt::Display for Permissions {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        use fmt::Write as _;
         for shift in [6u16, 3, 0] {
-            let trio = (self.bits >> shift) & 0o7;
-            f.write_char(if trio & 0o4 != 0 { 'r' } else { '-' })?;
-            f.write_char(if trio & 0o2 != 0 { 'w' } else { '-' })?;
-            f.write_char(if trio & 0o1 != 0 { 'x' } else { '-' })?;
+            f.write_str(RWX_TRIOS[usize::from((self.bits >> shift) & 0o7)])?;
         }
         Ok(())
     }
@@ -340,6 +352,67 @@ pub fn parse_body(body: &str, hint: ListingFormat) -> (Vec<ListingEntry>, usize)
     (entries, failures)
 }
 
+/// The whitespace-separated columns of a listing line, read left to
+/// right. Columns split exactly where `str::split_whitespace` splits, and
+/// the reader remembers where the last column ended, so the name column
+/// (which may hold spaces, and even words that look like the time or
+/// size column) is taken verbatim from that position. ASCII is
+/// classified byte by byte; a non-ASCII byte costs one char decode.
+struct Columns<'a> {
+    line: &'a str,
+    /// Byte offset of the next unread char (always a char boundary).
+    pos: usize,
+}
+
+impl<'a> Columns<'a> {
+    /// `(is whitespace, byte length)` of the non-ASCII char starting at
+    /// byte `i`.
+    fn unicode_space_at(&self, i: usize) -> (bool, usize) {
+        let c = self.line[i..].chars().next().expect("columns advance by whole chars");
+        (c.is_whitespace(), c.len_utf8())
+    }
+
+    /// The next column, or `None` at the end of the line.
+    fn next(&mut self) -> Option<&'a str> {
+        // `char::is_whitespace` on ASCII is `\t`..=`\r` and space.
+        let bytes = self.line.as_bytes();
+        let mut i = self.pos;
+        loop {
+            match bytes.get(i) {
+                None => {
+                    self.pos = i;
+                    return None;
+                }
+                Some(b'\t'..=b'\r' | b' ') => i += 1,
+                Some(b) if b.is_ascii() => break,
+                Some(_) => match self.unicode_space_at(i) {
+                    (true, len) => i += len,
+                    (false, _) => break,
+                },
+            }
+        }
+        let start = i;
+        loop {
+            match bytes.get(i) {
+                None | Some(b'\t'..=b'\r' | b' ') => break,
+                Some(b) if b.is_ascii() => i += 1,
+                Some(_) => match self.unicode_space_at(i) {
+                    (true, _) => break,
+                    (false, len) => i += len,
+                },
+            }
+        }
+        self.pos = i;
+        Some(&self.line[start..i])
+    }
+
+    /// Everything after the last column read, leading whitespace
+    /// trimmed: the name column.
+    fn name(&self) -> &'a str {
+        self.line[self.pos..].trim_start()
+    }
+}
+
 fn parse_unix(line: &str) -> Option<ParsedEntryRef<'_>> {
     // drwxr-xr-x   2 ftp      ftp          4096 Jun 18  2015 pub
     // -rw-r--r--   1 1000     1000      1048576 Jun 18 09:43 photo.jpg
@@ -348,36 +421,35 @@ fn parse_unix(line: &str) -> Option<ParsedEntryRef<'_>> {
     if bytes.len() < 11 {
         return None;
     }
-    let type_ch = bytes[0] as char;
-    let (is_dir, is_symlink) = match type_ch {
-        'd' => (true, false),
-        '-' => (false, false),
-        'l' => (false, true),
-        'b' | 'c' | 'p' | 's' => (false, false),
+    let (is_dir, is_symlink) = match bytes[0] {
+        b'd' => (true, false),
+        b'-' => (false, false),
+        b'l' => (false, true),
+        b'b' | b'c' | b'p' | b's' => (false, false),
         _ => return None,
     };
-    let perms = Permissions::parse_rwx(&line[1..10])?;
-    let rest = &line[10..];
-    // Tokenize: links owner group size month day time-or-year name...
-    let mut tokens = rest.split_whitespace();
-    let _links = tokens.next()?;
-    let owner = tokens.next()?;
-    let group_or_size = tokens.next()?;
+    // ASCII mode letters, so byte 10 is a char boundary.
+    let perms = Permissions::parse_rwx_bytes(&bytes[1..10])?;
+    // Columns: links owner group size month day time-or-year name...
+    let mut cols = Columns { line, pos: 10 };
+    let _links = cols.next()?;
+    let owner = cols.next()?;
+    let group_or_size = cols.next()?;
     // Some embedded servers omit the group column; detect by checking if
-    // the next token after `group_or_size` is a month name.
+    // the next column after `group_or_size` is a month name.
     let mut size_tok;
     let month;
-    let maybe = tokens.next()?;
+    let maybe = cols.next()?;
     if is_month(maybe) {
         size_tok = group_or_size;
         month = maybe;
     } else {
         size_tok = maybe;
-        let m = tokens.next()?;
+        let m = cols.next()?;
         if !is_month(m) {
             // device files have "maj, min" instead of size
             size_tok = m;
-            let m2 = tokens.next()?;
+            let m2 = cols.next()?;
             if !is_month(m2) {
                 return None;
             }
@@ -386,12 +458,11 @@ fn parse_unix(line: &str) -> Option<ParsedEntryRef<'_>> {
             month = m;
         }
     }
-    let day = tokens.next()?;
-    let time_or_year = tokens.next()?;
+    let day = cols.next()?;
+    let time_or_year = cols.next()?;
     let size: Option<u64> = size_tok.trim_end_matches(',').parse().ok();
-    // The name is everything after the time column in the original line.
-    let time_pos = find_token_end(line, time_or_year)?;
-    let mut name = line[time_pos..].trim_start();
+    // The name is everything after the time column.
+    let mut name = cols.name();
     if name.is_empty() {
         return None;
     }
@@ -419,39 +490,16 @@ fn is_month(s: &str) -> bool {
     )
 }
 
-/// Byte offset just past the *time column* occurrence of `tok` in `line`.
-fn find_token_end(line: &str, tok: &str) -> Option<usize> {
-    // Search from the right: the name may itself contain month-like text,
-    // but the time/year column precedes the name.
-    let mut search_end = line.len();
-    while let Some(pos) = line[..search_end].rfind(tok) {
-        let before_ok = pos == 0 || line.as_bytes()[pos - 1] == b' ';
-        let after = pos + tok.len();
-        let after_ok = after >= line.len() || line.as_bytes()[after] == b' ';
-        if before_ok && after_ok {
-            // Heuristic: the name follows; ensure something follows.
-            if after < line.len() {
-                return Some(after);
-            }
-        }
-        if pos == 0 {
-            break;
-        }
-        search_end = pos;
-    }
-    None
-}
-
 fn parse_dos(line: &str) -> Option<ParsedEntryRef<'_>> {
     // 06-18-15  09:43AM       <DIR>          aspnet_client
     // 06-18-15  09:43AM              1043901 products.mdb
-    let mut tokens = line.split_whitespace();
-    let date = tokens.next()?;
-    let time = tokens.next()?;
+    let mut cols = Columns { line, pos: 0 };
+    let date = cols.next()?;
+    let time = cols.next()?;
     if !looks_like_dos_date(date) || !looks_like_dos_time(time) {
         return None;
     }
-    let size_or_dir = tokens.next()?;
+    let size_or_dir = cols.next()?;
     let (is_dir, size) = if size_or_dir.eq_ignore_ascii_case("<dir>") {
         (true, None)
     } else {
@@ -460,8 +508,8 @@ fn parse_dos(line: &str) -> Option<ParsedEntryRef<'_>> {
     if !is_dir && size.is_none() {
         return None;
     }
-    let name_start = find_token_end(line, size_or_dir)?;
-    let name = line[name_start..].trim_start();
+    // The name is everything after the size/`<DIR>` column.
+    let name = cols.name();
     if name.is_empty() {
         return None;
     }
@@ -484,9 +532,13 @@ fn looks_like_dos_date(s: &str) -> bool {
         && b.iter().filter(|c| c.is_ascii_digit()).count() >= 6
 }
 
+/// `09:43AM`-shaped: a `:` and a case-insensitive `AM`/`PM` suffix.
 fn looks_like_dos_time(s: &str) -> bool {
-    let s = s.to_ascii_uppercase();
-    (s.ends_with("AM") || s.ends_with("PM")) && s.contains(':')
+    let b = s.as_bytes();
+    b.len() >= 2
+        && matches!(b[b.len() - 2].to_ascii_uppercase(), b'A' | b'P')
+        && b[b.len() - 1].eq_ignore_ascii_case(&b'M')
+        && b.contains(&b':')
 }
 
 fn parse_eplf(line: &str) -> Option<ParsedEntryRef<'_>> {
@@ -603,20 +655,28 @@ pub fn render_line(entry: &ListingEntry, format: ListingFormat) -> String {
 ///
 /// This is the allocation-free path behind [`render_line`]: the hot
 /// server loop renders whole directory bodies into one reused buffer.
+/// Every column is written by hand, without `core::fmt`; the bytes are
+/// those of the `write!` templates noted per format.
 pub fn render_line_into(entry: ListingEntryRef<'_>, format: ListingFormat, out: &mut String) {
-    use fmt::Write as _;
     match format {
         ListingFormat::Unix => {
+            // "{t}{perms}   1 {owner:<8} {owner:<8} {size:>12} {mtime} {name}"
             let perms = entry.permissions.unwrap_or_else(Permissions::public_file);
-            let t = if entry.is_dir { 'd' } else { '-' };
             let owner = entry.owner.unwrap_or("ftp");
             let size = entry.size.unwrap_or(if entry.is_dir { 4096 } else { 0 });
             let mtime = entry.mtime.unwrap_or("Jun 18  2015");
-            let _ = write!(
-                out,
-                "{t}{perms}   1 {owner:<8} {owner:<8} {size:>12} {mtime} {}",
-                entry.name
-            );
+            out.push(if entry.is_dir { 'd' } else { '-' });
+            perms.push_rwx(out);
+            out.push_str("   1 ");
+            push_left_aligned(out, owner, 8);
+            out.push(' ');
+            push_left_aligned(out, owner, 8);
+            out.push(' ');
+            decimal::push_u64(out, size, 12, ' ');
+            out.push(' ');
+            out.push_str(mtime);
+            out.push(' ');
+            out.push_str(entry.name);
         }
         ListingFormat::Dos => {
             // Only reuse the entry's mtime when it is already DOS-shaped;
@@ -629,29 +689,50 @@ pub fn render_line_into(entry: ListingEntryRef<'_>, format: ListingFormat, out: 
                 }
                 _ => "06-18-15 09:43AM",
             };
+            out.push_str(mtime);
             if entry.is_dir {
-                let _ = write!(out, "{mtime}       <DIR>          {}", entry.name);
+                // "{mtime}       <DIR>          {name}"
+                out.push_str("       <DIR>          ");
             } else {
-                let _ = write!(out, "{mtime} {:>20} {}", entry.size.unwrap_or(0), entry.name);
+                // "{mtime} {size:>20} {name}"
+                out.push(' ');
+                decimal::push_u64(out, entry.size.unwrap_or(0), 20, ' ');
+                out.push(' ');
             }
+            out.push_str(entry.name);
         }
         ListingFormat::Eplf => {
+            // "+/,s{size},\t{name}" (`r,` for files; no size fact when unknown)
             out.push('+');
             out.push_str(if entry.is_dir { "/," } else { "r," });
             if let Some(s) = entry.size {
-                let _ = write!(out, "s{s},");
+                out.push('s');
+                decimal::push_u64(out, s, 0, ' ');
+                out.push(',');
             }
             out.push('\t');
             out.push_str(entry.name);
         }
         ListingFormat::Mlsd => {
-            let t = if entry.is_dir { "dir" } else { "file" };
-            let _ = write!(out, "type={t};");
+            // "type={t};size={size};modify=20150618094300; {name}"
+            out.push_str(if entry.is_dir { "type=dir;" } else { "type=file;" });
             if let Some(s) = entry.size {
-                let _ = write!(out, "size={s};");
+                out.push_str("size=");
+                decimal::push_u64(out, s, 0, ' ');
+                out.push(';');
             }
-            let _ = write!(out, "modify=20150618094300; {}", entry.name);
+            out.push_str("modify=20150618094300; ");
+            out.push_str(entry.name);
         }
+    }
+}
+
+/// Appends `s` left-aligned in at least `width` chars (`{s:<width$}`:
+/// padding counts chars, not bytes).
+fn push_left_aligned(out: &mut String, s: &str, width: usize) {
+    out.push_str(s);
+    for _ in s.chars().count()..width {
+        out.push(' ');
     }
 }
 
@@ -841,6 +922,240 @@ mod tests {
         }
         assert!(parse_line_ref("total 52", ListingFormat::Unix).unwrap().is_none());
         assert!(parse_line_ref("garbage %%%", ListingFormat::Unix).is_err());
+    }
+
+    #[test]
+    fn unix_name_keeps_a_year_word() {
+        let e = parse_line_ref(
+            "-rw-r--r--   1 ftp      ftp          1043 Jun 18  2015 Report 2015 final.pdf",
+            ListingFormat::Unix,
+        )
+        .unwrap()
+        .unwrap();
+        assert_eq!(e.name, "Report 2015 final.pdf");
+        assert_eq!(e.mtime, MtimeRef::Unix { month: "Jun", day: "18", tail: "2015" });
+    }
+
+    #[test]
+    fn unix_name_keeps_a_time_word() {
+        let e = parse_line_ref(
+            "-rw-r--r--   1 ftp      ftp          1043 Jun 18 09:43 meeting 09:43 notes.txt",
+            ListingFormat::Unix,
+        )
+        .unwrap()
+        .unwrap();
+        assert_eq!(e.name, "meeting 09:43 notes.txt");
+        assert_eq!(e.mtime, MtimeRef::Unix { month: "Jun", day: "18", tail: "09:43" });
+    }
+
+    #[test]
+    fn dos_name_keeps_a_size_word() {
+        let e = parse_line_ref(
+            "06-18-15  09:43AM                 1043 backup 1043 old.zip",
+            ListingFormat::Dos,
+        )
+        .unwrap()
+        .unwrap();
+        assert_eq!(e.name, "backup 1043 old.zip");
+        assert_eq!(e.size, Some(1043));
+    }
+
+    #[test]
+    fn dos_name_keeps_a_dir_word() {
+        let e = parse_line_ref(
+            "06-18-15  09:43AM       <DIR>          my <DIR> stuff",
+            ListingFormat::Dos,
+        )
+        .unwrap()
+        .unwrap();
+        assert!(e.is_dir);
+        assert_eq!(e.name, "my <DIR> stuff");
+    }
+
+    #[test]
+    fn columns_split_like_split_whitespace() {
+        // Tabs, vertical tab, form feed and non-ASCII whitespace (NBSP,
+        // ideographic space) separate columns; other non-ASCII text is
+        // part of a column.
+        for text in [
+            "a b  c",
+            "  lead\ttab\x0bvt\x0cff  ",
+            "n\u{a0}nbsp\u{3000}ideo",
+            "été 日本 x",
+            "",
+            "   ",
+        ] {
+            let mut cols = Columns { line: text, pos: 0 };
+            let got: Vec<&str> = std::iter::from_fn(|| cols.next()).collect();
+            assert_eq!(got, text.split_whitespace().collect::<Vec<_>>(), "{text:?}");
+        }
+        let mut cols = Columns { line: "1 ftp ftp  naïve name ", pos: 0 };
+        for _ in 0..3 {
+            cols.next();
+        }
+        assert_eq!(cols.name(), "naïve name ");
+    }
+
+    #[test]
+    fn dos_time_is_case_insensitive() {
+        assert!(looks_like_dos_time("09:43AM"));
+        assert!(looks_like_dos_time("11:59pm"));
+        assert!(looks_like_dos_time("1:05Pm"));
+        assert!(!looks_like_dos_time("0943AM"));
+        assert!(!looks_like_dos_time("09:43"));
+        assert!(!looks_like_dos_time("M"));
+        assert!(!looks_like_dos_time("09:43AMé"));
+    }
+
+    /// The `write!` templates the hand-written renderer replaced.
+    fn render_with_fmt(entry: ListingEntryRef<'_>, format: ListingFormat) -> String {
+        use std::fmt::Write as _;
+        let mut out = String::new();
+        match format {
+            ListingFormat::Unix => {
+                let perms = entry.permissions.unwrap_or_else(Permissions::public_file);
+                let t = if entry.is_dir { 'd' } else { '-' };
+                let owner = entry.owner.unwrap_or("ftp");
+                let size = entry.size.unwrap_or(if entry.is_dir { 4096 } else { 0 });
+                let mtime = entry.mtime.unwrap_or("Jun 18  2015");
+                let _ = write!(
+                    out,
+                    "{t}{perms}   1 {owner:<8} {owner:<8} {size:>12} {mtime} {}",
+                    entry.name
+                );
+            }
+            ListingFormat::Dos => {
+                let mtime = match entry.mtime {
+                    Some(m)
+                        if m.split_whitespace()
+                            .next()
+                            .map(looks_like_dos_date)
+                            .unwrap_or(false) =>
+                    {
+                        m
+                    }
+                    _ => "06-18-15 09:43AM",
+                };
+                if entry.is_dir {
+                    let _ = write!(out, "{mtime}       <DIR>          {}", entry.name);
+                } else {
+                    let _ = write!(out, "{mtime} {:>20} {}", entry.size.unwrap_or(0), entry.name);
+                }
+            }
+            ListingFormat::Eplf => {
+                out.push('+');
+                out.push_str(if entry.is_dir { "/," } else { "r," });
+                if let Some(s) = entry.size {
+                    let _ = write!(out, "s{s},");
+                }
+                out.push('\t');
+                out.push_str(entry.name);
+            }
+            ListingFormat::Mlsd => {
+                let t = if entry.is_dir { "dir" } else { "file" };
+                let _ = write!(out, "type={t};");
+                if let Some(s) = entry.size {
+                    let _ = write!(out, "size={s};");
+                }
+                let _ = write!(out, "modify=20150618094300; {}", entry.name);
+            }
+        }
+        out
+    }
+
+    const FORMATS: [ListingFormat; 4] =
+        [ListingFormat::Unix, ListingFormat::Dos, ListingFormat::Eplf, ListingFormat::Mlsd];
+
+    #[test]
+    fn render_matches_the_fmt_templates() {
+        let owners =
+            [None, Some("ftp"), Some("root"), Some("user12345"), Some("averylongowner"), Some("é")];
+        let sizes = [None, Some(0), Some(123_456_789_012), Some(u64::MAX)];
+        let mtimes =
+            [None, Some("Jun 18  2015"), Some("Jan  5 09:43"), Some("06-18-15 09:43AM")];
+        let check = |entry: ListingEntryRef<'_>, format| {
+            let mut out = String::from("prefix|");
+            render_line_into(entry, format, &mut out);
+            assert_eq!(out, format!("prefix|{}", render_with_fmt(entry, format)), "{entry:?}");
+        };
+        for format in FORMATS {
+            for is_dir in [false, true] {
+                for owner in owners {
+                    for size in sizes {
+                        for mtime in mtimes {
+                            let permissions = Some(Permissions::public_file());
+                            let entry = ListingEntryRef {
+                                name: "file.txt",
+                                is_dir,
+                                size,
+                                permissions,
+                                owner,
+                                mtime,
+                            };
+                            check(entry, format);
+                            check(ListingEntryRef { permissions: None, ..entry }, format);
+                        }
+                    }
+                }
+                for mode in 0..=0o777 {
+                    let entry = ListingEntryRef {
+                        name: "x",
+                        is_dir,
+                        size: Some(u64::from(mode)),
+                        permissions: Some(Permissions::from_mode(mode)),
+                        owner: Some("ftp"),
+                        mtime: None,
+                    };
+                    check(entry, format);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn render_parse_roundtrip_names_with_column_words() {
+        let names = [
+            "Report 2015 final.pdf",
+            "meeting 09:43 notes.txt",
+            "backup 1043 old.zip",
+            "my <DIR> stuff",
+            "Jun 18  2015",
+            "4096 Jun 18 09:43 x",
+            "two  spaces",
+            "trailing space ",
+            "2015",
+        ];
+        for format in FORMATS {
+            // Each dialect's own mtime shapes: the year and the time
+            // column for UNIX, the DOS pair; EPLF and MLSD ignore it.
+            let mtimes: &[&str] = match format {
+                ListingFormat::Unix => &["Jun 18  2015", "Jun 18 09:43"],
+                _ => &["06-18-15 09:43AM"],
+            };
+            for is_dir in [false, true] {
+                for &mtime in mtimes {
+                    for name in names {
+                        let size = if is_dir { None } else { Some(1043) };
+                        let entry = ListingEntryRef {
+                            name,
+                            is_dir,
+                            size,
+                            permissions: Some(Permissions::public_file()),
+                            owner: Some("ftp"),
+                            mtime: Some(mtime),
+                        };
+                        let mut line = String::new();
+                        render_line_into(entry, format, &mut line);
+                        let back = parse_line_ref(&line, format).unwrap().unwrap();
+                        assert_eq!(back.name, name, "{format:?}: {line}");
+                        assert_eq!(back.is_dir, is_dir, "{format:?}: {line}");
+                        if !is_dir {
+                            assert_eq!(back.size, size, "{format:?}: {line}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -114,8 +114,9 @@ registry_enum! {
         /// Control-channel lines that fell back to the lossy scratch
         /// copy (invalid UTF-8 after IAC stripping).
         CodecLinesCopied => "codec_lines_copied",
-        /// LIST bodies served from the ftpd per-engine listing arena
-        /// without re-rendering.
+        /// Always 0: counted LIST bodies served from ftpd's per-engine
+        /// listing cache, which was deleted. Kept because
+        /// `studybench` reports it by name.
         ListCacheHits => "list_cache_hits",
         /// Slab slots orphaned by `simvfs` subtree removal: `remove`
         /// detaches the subtree but nothing frees the slots (DESIGN.md

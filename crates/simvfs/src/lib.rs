@@ -50,6 +50,7 @@
 
 use ftp_proto::listing::Permissions;
 use ftp_proto::FtpPath;
+use std::cmp::Ordering;
 use std::fmt;
 
 mod scratch;
@@ -74,14 +75,26 @@ pub enum Owner {
 impl serde::Serialize for Owner {}
 impl serde::Deserialize for Owner {}
 
+impl Owner {
+    /// The owner column text, without `core::fmt`: a static name, or
+    /// `user<N>` rendered into `scratch` for [`Owner::User`].
+    pub fn text(self, scratch: &mut String) -> &str {
+        match self {
+            Owner::Root => "root",
+            Owner::Ftp | Owner::Anonymous => "ftp",
+            Owner::User(n) => {
+                scratch.clear();
+                scratch.push_str("user");
+                ftp_proto::decimal::push_u64(scratch, u64::from(n), 0, ' ');
+                scratch
+            }
+        }
+    }
+}
+
 impl fmt::Display for Owner {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Owner::Root => f.write_str("root"),
-            Owner::Ftp => f.write_str("ftp"),
-            Owner::Anonymous => f.write_str("ftp"),
-            Owner::User(n) => write!(f, "user{n}"),
-        }
+        f.write_str(self.text(&mut String::new()))
     }
 }
 
@@ -500,10 +513,6 @@ pub struct Vfs {
     /// File contents (write probes, scripts, robots.txt) — rare, so
     /// they live out-of-line from the slots.
     contents: Vec<Box<str>>,
-    /// Bumped on every successful mutation. Callers caching data derived
-    /// from the tree (e.g. rendered `LIST` bodies) compare generations
-    /// to invalidate in O(1) instead of re-walking.
-    generation: u64,
 }
 
 // The serde stubs are marker traits (nothing in the workspace
@@ -574,12 +583,7 @@ impl Vfs {
                 children: Vec::new(),
             }),
         };
-        Vfs { nodes: vec![root], strings, contents: Vec::new(), generation: 0 }
-    }
-
-    /// Mutation counter; changes whenever the tree may have changed.
-    pub fn generation(&self) -> u64 {
-        self.generation
+        Vfs { nodes: vec![root], strings, contents: Vec::new() }
     }
 
     /// Node slots ever created (the root included; detached slots too —
@@ -636,15 +640,24 @@ impl Vfs {
         }
     }
 
-    /// Binary search for `name` among `dir`'s children. `Ok(child slot)`
-    /// when present, `Err(insertion position)` when not.
+    /// Finds `name` among `dir`'s children: `Ok(child slot)` when
+    /// present, `Err(insertion position)` when not. Generators add
+    /// names in ascending order, so the last child is compared first and
+    /// an append costs one comparison; anything else binary-searches
+    /// the rest.
     fn find_child(&self, dir: u32, name: &str) -> Result<u32, usize> {
         let Slot::Dir(d) = &self.nodes[dir as usize].kind else {
             unreachable!("find_child on a file slot");
         };
-        d.children
-            .binary_search_by(|&c| self.strings.get(self.nodes[c as usize].name).cmp(name))
-            .map(|pos| d.children[pos])
+        let name_of = |c: u32| self.strings.get(self.nodes[c as usize].name);
+        let Some((&last, rest)) = d.children.split_last() else { return Err(0) };
+        match name_of(last).cmp(name) {
+            Ordering::Less => Err(d.children.len()),
+            Ordering::Equal => Ok(last),
+            Ordering::Greater => {
+                rest.binary_search_by(|&c| name_of(c).cmp(name)).map(|pos| rest[pos])
+            }
+        }
     }
 
     /// Walks canonical `path` segments from the root; `Ok(slot)` or the
@@ -745,16 +758,10 @@ impl Vfs {
             obs::counter(obs::Counter::VfsOps, 1);
         }
         if Self::is_canonical(path) {
-            return self.mkdir_p_canonical(path);
+            return self.descend_creating(path).map(|_| ());
         }
         let p = Self::canon(path)?;
-        self.mkdir_p_canonical(p.as_str())
-    }
-
-    fn mkdir_p_canonical(&mut self, path: &str) -> Result<(), VfsError> {
-        self.descend_creating(path)?;
-        self.generation += 1;
-        Ok(())
+        self.descend_creating(p.as_str()).map(|_| ())
     }
 
     /// Walks canonical `path`, creating missing directories, and returns
@@ -802,7 +809,6 @@ impl Vfs {
                 let name = name.to_owned();
                 let slot = self.new_dir_slot();
                 self.insert_child(parent, pos, &name, slot);
-                self.generation += 1;
                 Ok(())
             }
         }
@@ -902,7 +908,6 @@ impl Vfs {
                 self.insert_child(dir.0, pos, name, Slot::File(data));
             }
         }
-        self.generation += 1;
         Ok(())
     }
 
@@ -932,7 +937,6 @@ impl Vfs {
             }
             Err(pos) => self.insert_child(parent, pos, name, Slot::File(data)),
         };
-        self.generation += 1;
         Ok(id)
     }
 
@@ -986,7 +990,6 @@ impl Vfs {
         if let Err(pos) = self.find_child(parent, name) {
             let data = self.file_data(attrs);
             let id = self.insert_child(parent, pos, name, Slot::File(data));
-            self.generation += 1;
             return Ok(NodeId(id));
         }
         // Candidate names are probed inside the already-resolved parent:
@@ -998,7 +1001,6 @@ impl Vfs {
             if let Err(pos) = self.find_child(parent, &candidate) {
                 let data = self.file_data(attrs);
                 let id = self.insert_child(parent, pos, &candidate, Slot::File(data));
-                self.generation += 1;
                 return Ok(NodeId(id));
             }
         }
@@ -1057,7 +1059,6 @@ impl Vfs {
                 if obs::enabled() {
                     obs::counter(obs::Counter::VfsDeadNodes, self.subtree_slots(node));
                 }
-                self.generation += 1;
                 Ok(())
             }
             None => Err(VfsError::NotFound { path: path.to_owned() }),
@@ -1118,7 +1119,6 @@ impl Vfs {
                 Slot::File(_) => unreachable!("descend_creating returns dirs"),
             },
         }
-        self.generation += 1;
         Ok(())
     }
 
@@ -1170,9 +1170,6 @@ impl Vfs {
     ///
     /// [`VfsError::NotFound`] if absent or a directory.
     pub fn file_mut(&mut self, path: &str) -> Result<FileMut<'_>, VfsError> {
-        // Conservative: the caller receives mutable access, so any
-        // cached derived data must be considered stale.
-        self.generation += 1;
         let ix = self.resolve(path)?;
         match &mut self.nodes[ix as usize].kind {
             Slot::File(f) => Ok(FileMut { size: &mut f.size, perms: &mut f.perms, owner: &mut f.owner }),
@@ -1262,6 +1259,51 @@ mod tests {
         assert_eq!(f.size, 5); // with_content resizes
         assert_eq!(f.content, Some("hello"));
         assert_eq!(v.file_count(), 1);
+    }
+
+    #[test]
+    fn insertion_order_does_not_change_the_tree() {
+        // Mixed shapes: ascending runs, case and digit-width breaks
+        // (`DSC_` < `IMG_` < `a`, `f10` < `f9`).
+        let mut names: Vec<String> = (0..30).map(|i| format!("f{i}")).collect();
+        names.extend(["IMG_0001.jpg", "DSC_0002.JPG", "a", "Z", "roll-007", "é"].map(String::from));
+        let mut ascending = names.clone();
+        ascending.sort();
+        let descending: Vec<String> = ascending.iter().rev().cloned().collect();
+        let shuffled: Vec<String> =
+            (0..names.len()).map(|i| names[(i * 17) % names.len()].clone()).collect();
+        let build = |order: &[String]| {
+            obs::install(Box::new(obs::CollectingRecorder::new(0, false)));
+            let mut v = Vfs::new();
+            let d = v.dir_handle("/d").unwrap();
+            for n in order {
+                v.add_file_in(d, n, FileAttrs::public(n.len() as u64, DEFAULT_MTIME)).unwrap();
+            }
+            let report = obs::uninstall().expect("recorder installed").finish();
+            (v, report.metrics.counter(obs::Counter::VfsNodes))
+        };
+        let (asc, asc_nodes) = build(&ascending);
+        let listed = |v: &Vfs| v.list("/d").unwrap().map(|(n, _)| n.to_owned()).collect::<Vec<_>>();
+        assert_eq!(listed(&asc), ascending);
+        for order in [&descending, &shuffled] {
+            let (v, nodes) = build(order);
+            assert_eq!(v, asc);
+            assert_eq!(listed(&v), ascending);
+            assert_eq!(v.node_count(), asc.node_count());
+            assert_eq!(nodes, asc_nodes);
+        }
+        // One node per name plus `/d`; the root is not an insertion.
+        assert_eq!(asc_nodes, names.len() as u64 + 1);
+        assert_eq!(asc.node_count(), names.len() + 2);
+
+        // Re-adding the current last child overwrites it in place.
+        let mut v = asc.clone();
+        let d = v.dir_handle("/d").unwrap();
+        let last = ascending.last().unwrap();
+        v.add_file_in(d, last, FileAttrs::public(999, DEFAULT_MTIME)).unwrap();
+        assert_eq!(v.node_count(), asc.node_count());
+        assert_eq!(listed(&v), ascending);
+        assert_eq!(v.file(&format!("/d/{last}")).unwrap().size, 999);
     }
 
     #[test]

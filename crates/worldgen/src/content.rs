@@ -15,11 +15,11 @@
 //! files land via [`Vfs::add_file_attrs`] with everything borrowed.
 
 use ftp_proto::listing::Permissions;
+use ftp_proto::decimal::push_u64;
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use simvfs::{FileAttrs, FileMeta, Owner, PathScratch, Vfs};
-use std::fmt::Write as _;
 
 /// Reusable buffers threaded through world materialization; create one
 /// per host batch (or per test) and every generator call reuses it.
@@ -133,17 +133,17 @@ const PHOTO_EVENTS: &[&str] = &[
 
 const MONTHS: &[&str] = &["Jan", "Feb", "Mar", "Apr", "May", "Jun"];
 
-/// Renders a random listing mtime into `out` (same draw order as the
-/// old `String`-returning version: month, day, year digit).
+/// Renders a random listing mtime, `{month} {day:2}  201{digit}`, into
+/// `out` without `core::fmt`. The draws stay in the order month, day,
+/// year digit.
 fn mtime_into(rng: &mut StdRng, out: &mut String) {
     out.clear();
-    let _ = write!(
-        out,
-        "{} {:2}  201{}",
-        pick(rng, MONTHS),
-        rng.random_range(1..29),
-        rng.random_range(2..6)
-    );
+    let month = pick(rng, MONTHS);
+    out.push_str(month);
+    out.push(' ');
+    push_u64(out, rng.random_range(1..29), 2, ' ');
+    out.push_str("  201");
+    push_u64(out, rng.random_range(2..6), 1, '0');
 }
 
 /// Draws an mtime into `scratch` and returns public-file attrs for it.
@@ -167,7 +167,9 @@ pub fn add_photo_library(
         let year = rng.random_range(2009..2016);
         let event = pick(rng, PHOTO_EVENTS);
         scratch.path.set(base);
-        scratch.path.push_fmt(format_args!("{year}"));
+        scratch.name.clear();
+        push_u64(&mut scratch.name, year, 4, '0');
+        scratch.path.push(&scratch.name);
         scratch.path.push(event);
         // One descent for the whole roll; files insert by name.
         let dir = vfs.dir_handle(scratch.path.as_str()).ok();
@@ -177,12 +179,11 @@ pub fn add_photo_library(
             let dsc = rng.random_bool(0.7);
             let size = rng.random_range(800_000..6_000_000);
             let attrs = public_attrs(rng, size, &mut scratch.mtime);
+            // `DSC_{serial:04}.JPG` or `IMG_{serial:04}.jpg`.
             scratch.name.clear();
-            if dsc {
-                let _ = write!(scratch.name, "DSC_{serial:04}.JPG");
-            } else {
-                let _ = write!(scratch.name, "IMG_{serial:04}.jpg");
-            }
+            scratch.name.push_str(if dsc { "DSC_" } else { "IMG_" });
+            push_u64(&mut scratch.name, u64::from(serial), 4, '0');
+            scratch.name.push_str(if dsc { ".JPG" } else { ".jpg" });
             if let Some(d) = dir {
                 let _ = vfs.add_file_in(d, &scratch.name, attrs);
             }
@@ -210,7 +211,9 @@ pub fn add_media_collection(
         let size = rng.random_range(3_000_000..9_000_000);
         let attrs = public_attrs(rng, size, &mut scratch.mtime);
         scratch.name.clear();
-        let _ = write!(scratch.name, "track{:03}.mp3", i % 20 + 1);
+        scratch.name.push_str("track");
+        push_u64(&mut scratch.name, i as u64 % 20 + 1, 3, '0');
+        scratch.name.push_str(".mp3");
         if let Some(d) = dir {
             let _ = vfs.add_file_in(d, &scratch.name, attrs);
         }
@@ -225,7 +228,11 @@ pub fn add_media_collection(
         let size = rng.random_range(200_000_000..1_500_000_000);
         let attrs = public_attrs(rng, size, &mut scratch.mtime);
         scratch.name.clear();
-        let _ = write!(scratch.name, "{t}-{i:02}.{ext}");
+        scratch.name.push_str(t);
+        scratch.name.push('-');
+        push_u64(&mut scratch.name, i as u64, 2, '0');
+        scratch.name.push('.');
+        scratch.name.push_str(ext);
         if let Some(d) = videos {
             let _ = vfs.add_file_in(d, &scratch.name, attrs);
         }
@@ -260,7 +267,11 @@ pub fn add_documents(
         let size = rng.random_range(20_000..4_000_000);
         let attrs = public_attrs(rng, size, &mut scratch.mtime);
         scratch.name.clear();
-        let _ = write!(scratch.name, "{n}-{i:03}.{ext}");
+        scratch.name.push_str(n);
+        scratch.name.push('-');
+        push_u64(&mut scratch.name, i as u64, 3, '0');
+        scratch.name.push('.');
+        scratch.name.push_str(ext);
         if let Some(d) = dir {
             let _ = vfs.add_file_in(d, &scratch.name, attrs);
         }
@@ -279,7 +290,10 @@ pub fn hosting_webroot(
     for s in 0..sites {
         let site = pick(rng, SITES);
         scratch.path.set("/www");
-        scratch.path.push_fmt(format_args!("{site}{s}"));
+        scratch.name.clear();
+        scratch.name.push_str(site);
+        push_u64(&mut scratch.name, s as u64, 0, '0');
+        scratch.path.push(&scratch.name);
         let dir = vfs.dir_handle(scratch.path.as_str()).ok();
         let attrs = public_attrs(rng, 8_192, &mut scratch.mtime);
         if let Some(d) = dir {
@@ -299,19 +313,18 @@ pub fn hosting_webroot(
             let n = rng.random_range(8..60);
             for i in 0..n {
                 scratch.name.clear();
-                match rng.random_range(0..6) {
-                    0 => scratch.name.push_str("index.php"),
-                    1 => scratch.name.push_str("config.php"),
-                    2 => scratch.name.push_str("db_connect.php"),
-                    3 => {
-                        let _ = write!(scratch.name, "page{i}.php");
-                    }
-                    4 => {
-                        let _ = write!(scratch.name, "admin{i}.asp");
-                    }
-                    _ => {
-                        let _ = write!(scratch.name, "include{i}.php");
-                    }
+                let (prefix, suffix) = match rng.random_range(0..6) {
+                    0 => ("index.php", None),
+                    1 => ("config.php", None),
+                    2 => ("db_connect.php", None),
+                    3 => ("page", Some(".php")),
+                    4 => ("admin", Some(".asp")),
+                    _ => ("include", Some(".php")),
+                };
+                scratch.name.push_str(prefix);
+                if let Some(suffix) = suffix {
+                    push_u64(&mut scratch.name, i, 0, '0');
+                    scratch.name.push_str(suffix);
                 }
                 let size = rng.random_range(1_000..40_000);
                 let attrs = public_attrs(rng, size, &mut scratch.mtime);
@@ -355,7 +368,9 @@ pub fn printer_spool(rng: &mut StdRng, scratch: &mut GenScratch) -> Vfs {
         let size = rng.random_range(100_000..2_000_000);
         let attrs = public_attrs(rng, size, &mut scratch.mtime);
         scratch.name.clear();
-        let _ = write!(scratch.name, "scan{i:04}.pdf");
+        scratch.name.push_str("scan");
+        push_u64(&mut scratch.name, i, 4, '0');
+        scratch.name.push_str(".pdf");
         if let Some(d) = dir {
             let _ = vfs.add_file_in(d, &scratch.name, attrs);
         }
@@ -432,7 +447,9 @@ pub fn office_backup(rng: &mut StdRng, scratch: &mut GenScratch) -> Vfs {
         let size = rng.random_range(50_000_000..2_000_000_000);
         let attrs = public_attrs(rng, size, &mut scratch.mtime);
         scratch.name.clear();
-        let _ = write!(scratch.name, "user{i:03}.pst");
+        scratch.name.push_str("user");
+        push_u64(&mut scratch.name, i, 3, '0');
+        scratch.name.push_str(".pst");
         if let Some(d) = mail {
             let _ = vfs.add_file_in(d, &scratch.name, attrs);
         }
@@ -442,14 +459,18 @@ pub fn office_backup(rng: &mut StdRng, scratch: &mut GenScratch) -> Vfs {
         let size = rng.random_range(1_000_000..30_000_000);
         let attrs = public_attrs(rng, size, &mut scratch.mtime);
         scratch.name.clear();
-        let _ = write!(scratch.name, "ledger-{year}.qdf");
+        scratch.name.push_str("ledger-");
+        push_u64(&mut scratch.name, year, 4, '0');
+        scratch.name.push_str(".qdf");
         if let Some(d) = finance {
             let _ = vfs.add_file_in(d, &scratch.name, attrs);
         }
         let size = rng.random_range(5_000_000..80_000_000);
         let attrs = public_attrs(rng, size, &mut scratch.mtime);
         scratch.name.clear();
-        let _ = write!(scratch.name, "payroll-{year}.zip");
+        scratch.name.push_str("payroll-");
+        push_u64(&mut scratch.name, year, 4, '0');
+        scratch.name.push_str(".zip");
         if let Some(d) = finance {
             let _ = vfs.add_file_in(d, &scratch.name, attrs);
         }
@@ -482,7 +503,9 @@ pub fn inject_sensitive(
         if i == 0 {
             scratch.name.push_str(name);
         } else {
-            let _ = write!(scratch.name, "{i}-{name}");
+            push_u64(&mut scratch.name, i as u64, 0, '0');
+            scratch.name.push('-');
+            scratch.name.push_str(name);
         }
         if let Some(d) = dir {
             let _ = vfs.add_file_in(

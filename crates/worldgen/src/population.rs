@@ -15,6 +15,7 @@ use crate::campaigns;
 use crate::catalog::{self, Daemon, DeviceKind, DeviceModel};
 use crate::content::{self, ContentKind, OsKind, SensitiveKind};
 use crate::rates::{self, Campaign, Category};
+use ftp_proto::decimal::push_u64;
 use ftpd::implementations;
 use ftpd::misc::{HttpService, RawBannerService, SilentService};
 use ftpd::profile::{AnonPolicy, ServerProfile, UploadQuirk, UserReplyStyle};
@@ -25,7 +26,6 @@ use rand::{Rng, SeedableRng};
 use simtls::SimCertificate;
 use simvfs::Vfs;
 use std::collections::HashSet;
-use std::fmt::Write as _;
 use std::net::Ipv4Addr;
 
 /// Parameters of a generated world.
@@ -1233,17 +1233,24 @@ fn build_vfs(plan: &HostPlan, rng: &mut StdRng, scratch: &mut content::GenScratc
         // Static attrs (no per-file RNG draws, matching the legacy
         // `FileMeta::public` default mtime).
         let attrs = simvfs::FileAttrs::public(2_000_000, "Jun 18  2015");
-        let mut name = String::new();
+        // `roll-{roll:03}` directories of `IMG_{i:04}.jpg` files, named
+        // without `core::fmt`.
+        let name = &mut scratch.name;
         for roll in 0..rolls {
             let per_dir = rng.random_range(8..28);
+            name.clear();
+            name.push_str("roll-");
+            push_u64(name, roll, 3, '0');
             scratch.path.set("/share/photos");
-            scratch.path.push_fmt(format_args!("roll-{roll:03}"));
+            scratch.path.push(name);
             let dir = vfs.dir_handle(scratch.path.as_str()).ok();
             for i in 0..per_dir {
                 name.clear();
-                let _ = write!(name, "IMG_{i:04}.jpg");
+                name.push_str("IMG_");
+                push_u64(name, i, 4, '0');
+                name.push_str(".jpg");
                 if let Some(d) = dir {
-                    let _ = vfs.add_file_in(d, &name, attrs);
+                    let _ = vfs.add_file_in(d, name, attrs);
                 }
             }
         }
