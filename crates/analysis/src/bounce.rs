@@ -90,7 +90,7 @@ impl BounceSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use enumerator::{FileEntry, LoginOutcome};
+    use enumerator::LoginOutcome;
     use ftp_proto::listing::Readability;
     use ftp_proto::HostPort;
 
@@ -116,15 +116,7 @@ mod tests {
     fn summary_joins() {
         let mut vulnerable = rec([1, 0, 0, 1]);
         vulnerable.port_accepts_third_party = Some(true);
-        vulnerable.files = vec![FileEntry {
-            path: "/up/sjutd.txt".into(),
-            is_dir: false,
-            size: Some(1),
-            readability: Readability::Readable,
-            owner: None,
-            other_writable: None,
-        }]
-        .into();
+        vulnerable.files = crate::file_table([("/up/sjutd.txt", false, Readability::Readable)]);
         let mut safe = rec([1, 0, 0, 2]);
         safe.port_accepts_third_party = Some(false);
         let mut nat_vuln = rec([1, 0, 0, 3]);

@@ -131,25 +131,15 @@ pub fn detect(records: &[HostRecord]) -> CampaignSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use enumerator::{FileEntry, LoginOutcome};
+    use enumerator::LoginOutcome;
     use ftp_proto::listing::Readability;
 
     fn rec(files: &[(&str, bool)]) -> HostRecord {
         let mut r = HostRecord::new(Ipv4Addr::new(2, 2, 2, 2));
         r.ftp_compliant = true;
         r.login = LoginOutcome::Anonymous;
-        r.files = files
-            .iter()
-            .map(|(p, is_dir)| FileEntry {
-                path: p.to_string(),
-                is_dir: *is_dir,
-                size: Some(1),
-                readability: Readability::Readable,
-                owner: None,
-                other_writable: None,
-            })
-            .collect::<Vec<_>>()
-            .into();
+        let rows = files.iter().map(|&(p, is_dir)| (p, is_dir, Readability::Readable));
+        r.files = crate::file_table(rows);
         r
     }
 

@@ -202,7 +202,7 @@ pub fn fleet_summary(records: &[HostRecord]) -> (f64, Vec<(&'static str, u64)>) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use enumerator::{FileEntry, LoginOutcome};
+    use enumerator::LoginOutcome;
     use ftp_proto::listing::Readability;
     use std::net::Ipv4Addr;
 
@@ -271,14 +271,7 @@ mod tests {
     fn sensitive_exposure_flagged() {
         let mut r = base();
         r.login = LoginOutcome::Anonymous;
-        r.files.push(FileEntry {
-            path: "/etc/shadow".into(),
-            is_dir: false,
-            size: Some(1),
-            readability: Readability::Readable,
-            owner: None,
-            other_writable: None,
-        });
+        r.files = crate::file_table([("/etc/shadow", false, Readability::Readable)]);
         let a = audit(&r);
         assert!(a.findings.iter().any(|f| f.check == "sensitive-data-exposed"));
     }

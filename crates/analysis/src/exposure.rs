@@ -371,31 +371,26 @@ pub fn device_breakout(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use enumerator::{FileEntry, FileTable, LoginOutcome};
+    use crate::file_table;
+    use enumerator::LoginOutcome;
     use std::net::Ipv4Addr;
 
-    fn entry(path: &str, is_dir: bool, readability: Readability) -> FileEntry {
-        FileEntry {
-            path: path.to_owned(),
-            is_dir,
-            size: Some(1),
-            readability,
-            owner: None,
-            other_writable: None,
-        }
+    type Row = (String, bool, Readability);
+
+    fn entry(path: &str, is_dir: bool, readability: Readability) -> Row {
+        (path.to_owned(), is_dir, readability)
     }
 
-    fn anon_record(files: Vec<FileEntry>) -> HostRecord {
+    fn anon_record(files: Vec<Row>) -> HostRecord {
         let mut r = HostRecord::new(Ipv4Addr::new(9, 9, 9, 9));
         r.ftp_compliant = true;
         r.login = LoginOutcome::Anonymous;
-        r.files = files.into();
+        r.files = file_table(files);
         r
     }
 
     fn classify(path: &str) -> Option<SensitiveClass> {
-        let t: FileTable = vec![entry(path, false, Readability::Readable)].into();
-        SensitiveClass::of(t.get(0))
+        SensitiveClass::of(file_table([(path, false, Readability::Readable)]).get(0))
     }
 
     #[test]

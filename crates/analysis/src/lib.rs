@@ -48,3 +48,18 @@ pub mod writable;
 pub use fingerprint::{classify, Classification, DeviceClass};
 pub use funnel::Funnel;
 pub use stream::StreamingAggregate;
+
+/// A host's file table with one row per `(path, is_dir, readability)`:
+/// size 1, no owner or write bit — how the analysis tests build records.
+#[cfg(test)]
+fn file_table<P: AsRef<str>>(
+    rows: impl IntoIterator<Item = (P, bool, ftp_proto::listing::Readability)>,
+) -> enumerator::FileTable {
+    let mut t = enumerator::FileTable::default();
+    for (path, is_dir, readability) in rows {
+        let (dir, name) = path.as_ref().rsplit_once('/').expect("absolute path");
+        let dir = if dir.is_empty() { "/" } else { dir };
+        t.push_parts(dir, name, is_dir, Some(1), readability, None, None);
+    }
+    t
+}

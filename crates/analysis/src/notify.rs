@@ -154,7 +154,7 @@ pub fn leaks_paths(digest_text: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use enumerator::{FileEntry, HostRecord, LoginOutcome};
+    use enumerator::{HostRecord, LoginOutcome};
     use ftp_proto::listing::Readability;
     use netsim::{AsKind, Ipv4Net};
     use std::net::Ipv4Addr;
@@ -177,18 +177,7 @@ mod tests {
         if bounce {
             r.port_accepts_third_party = Some(true);
         }
-        r.files = files
-            .iter()
-            .map(|p| FileEntry {
-                path: p.to_string(),
-                is_dir: false,
-                size: Some(1),
-                readability: Readability::Readable,
-                owner: None,
-                other_writable: None,
-            })
-            .collect::<Vec<_>>()
-            .into();
+        r.files = crate::file_table(files.iter().map(|&p| (p, false, Readability::Readable)));
         r
     }
 

@@ -725,21 +725,15 @@ fn unescape(s: &str) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use enumerator::{FileEntry, LoginOutcome};
+    use crate::file_table;
+    use enumerator::LoginOutcome;
     use ftp_proto::listing::Readability;
     use ftp_proto::HostPort;
     use std::collections::HashSet;
     use std::net::Ipv4Addr;
 
-    fn entry(path: &str, is_dir: bool, readability: Readability) -> FileEntry {
-        FileEntry {
-            path: path.to_owned(),
-            is_dir,
-            size: Some(1),
-            readability,
-            owner: None,
-            other_writable: None,
-        }
+    fn entry(path: &str, is_dir: bool, readability: Readability) -> (&str, bool, Readability) {
+        (path, is_dir, readability)
     }
 
     /// A varied record set exercising every fold branch: devices,
@@ -755,15 +749,14 @@ mod tests {
         nas.login = LoginOutcome::Anonymous;
         nas.banner = Some("QNAP NAS FTP server ready".into());
         nas.requests_used = 37;
-        nas.files = vec![
+        nas.files = file_table([
             entry("/p/DSC_0001.JPG", false, Readability::Readable),
             entry("/p/DSC_0002.JPG", false, Readability::Readable),
             entry("/etc/shadow", false, Readability::NonReadable),
             entry("/up/sjutd.txt", false, Readability::Readable),
             entry("/up/shell.php", false, Readability::Readable),
             entry("/incoming/150618094301p", true, Readability::Readable),
-        ]
-        .into();
+        ]);
         nas.pasv_addr = Some(HostPort::new(Ipv4Addr::new(192, 168, 0, 9), 50_000));
         nas.port_accepts_third_party = Some(true);
         records.push(nas);
@@ -779,7 +772,7 @@ mod tests {
         generic.ftps.required_before_login = true;
         generic.ftps.cert = Some(simtls::SimCertificate::self_signed("localhost", 7));
         generic.port_accepts_third_party = Some(false);
-        generic.files = vec![entry("/w/Holy-Bible.html", false, Readability::Readable)].into();
+        generic.files = file_table([entry("/w/Holy-Bible.html", false, Readability::Readable)]);
         records.push(generic);
 
         // FileZilla host, hosting cert, not anonymous.

@@ -74,7 +74,7 @@ pub fn detect(records: &[HostRecord], registry: Option<&netsim::AsRegistry>) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use enumerator::{FileEntry, LoginOutcome};
+    use enumerator::LoginOutcome;
     use ftp_proto::listing::Readability;
 
     fn rec(ip: [u8; 4], names: &[&str], anon: bool) -> HostRecord {
@@ -83,18 +83,9 @@ mod tests {
         if anon {
             r.login = LoginOutcome::Anonymous;
         }
-        r.files = names
-            .iter()
-            .map(|n| FileEntry {
-                path: format!("/up/{n}"),
-                is_dir: false,
-                size: Some(1),
-                readability: Readability::Readable,
-                owner: None,
-                other_writable: None,
-            })
-            .collect::<Vec<_>>()
-            .into();
+        r.files = crate::file_table(
+            names.iter().map(|n| (format!("/up/{n}"), false, Readability::Readable)),
+        );
         r
     }
 

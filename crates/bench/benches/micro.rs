@@ -3,8 +3,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ftp_proto::decimal::push_u64;
-use ftp_proto::listing::{self, ListingFormat};
-use ftp_proto::{Banner, Command, HostPort, Reply};
+use ftp_proto::listing::{self, ListingEntryRef, ListingFormat, Permissions};
+use ftp_proto::{Banner, Command, HostPort, ReplyBuf};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simvfs::{FileAttrs, PathScratch, Vfs};
@@ -59,33 +59,56 @@ const LISTING_FORMATS: [(ListingFormat, &str); 4] = [
     (ListingFormat::Mlsd, "mlsd"),
 ];
 
-/// 1,000 directory entries shaped like a generated listing.
-fn listing_entries() -> Vec<listing::ListingEntry> {
+/// 1,000 directory entries shaped like a generated listing:
+/// `(name, is_dir, size)`.
+fn listing_entries() -> Vec<(String, bool, u64)> {
     let mut rng = StdRng::seed_from_u64(1);
     (0..1_000)
-        .map(|i| listing::ListingEntry {
-            name: format!("file-{i:05}.dat"),
-            is_dir: rng.random_bool(0.1),
-            size: Some(rng.random_range(0..1_000_000_000)),
-            permissions: Some(ftp_proto::listing::Permissions::public_file()),
-            owner: Some("ftp".into()),
-            mtime: Some("Jun 18  2015".into()),
-            is_symlink: false,
+        .map(|i| {
+            let is_dir = rng.random_bool(0.1);
+            (format!("file-{i:05}.dat"), is_dir, rng.random_range(0..1_000_000_000))
         })
         .collect()
 }
 
+/// The borrowed rendering view of one [`listing_entries`] row.
+fn entry_ref(&(ref name, is_dir, size): &(String, bool, u64)) -> ListingEntryRef<'_> {
+    ListingEntryRef {
+        name,
+        is_dir,
+        size: Some(size),
+        permissions: Some(Permissions::public_file()),
+        owner: Some("ftp"),
+        mtime: Some("Jun 18  2015"),
+    }
+}
+
+/// The enumerator's listing kernel: every line of a 1,000-entry body
+/// parsed, entries and failures counted.
 fn listing_parse_bench(c: &mut Criterion) {
     let entries = listing_entries();
     let mut g = c.benchmark_group("listing_parse_1k_lines");
     for (fmt, label) in LISTING_FORMATS {
         let mut body = String::new();
         for entry in &entries {
-            body.push_str(&listing::render_line(entry, fmt));
+            listing::render_line_into(entry_ref(entry), fmt, &mut body);
             body.push_str("\r\n");
         }
         g.bench_function(label, |b| {
-            b.iter(|| black_box(listing::parse_body(black_box(&body), fmt)))
+            b.iter(|| {
+                let (mut parsed, mut failures) = (0usize, 0usize);
+                for line in black_box(&body).lines() {
+                    match listing::parse_line_ref(line, fmt) {
+                        Ok(Some(e)) => {
+                            black_box(e);
+                            parsed += 1;
+                        }
+                        Ok(None) => {}
+                        Err(_) => failures += 1,
+                    }
+                }
+                black_box((parsed, failures))
+            })
         });
     }
     g.finish();
@@ -101,7 +124,7 @@ fn listing_render_bench(c: &mut Criterion) {
             b.iter(|| {
                 body.clear();
                 for entry in &entries {
-                    listing::render_line_into(entry.as_entry_ref(), fmt, &mut body);
+                    listing::render_line_into(entry_ref(entry), fmt, &mut body);
                     body.push_str("\r\n");
                 }
                 black_box(body.len())
@@ -115,7 +138,7 @@ fn listing_render_bench(c: &mut Criterion) {
 /// `IMG_NNNN.jpg` files each, inserted through directory handles in
 /// ascending name order.
 fn vfs_build_bench(c: &mut Criterion) {
-    let attrs = FileAttrs::public(2_000_000, "Jun 18  2015");
+    let attrs = FileAttrs::public(2_000_000);
     c.bench_function("vfs_build_deep_tree", |b| {
         b.iter(|| {
             let mut vfs = Vfs::new();
@@ -151,9 +174,11 @@ fn protocol_bench(c: &mut Criterion) {
             }
         })
     });
+    let mut replies = ReplyBuf::new();
     c.bench_function("reply_parse", |b| {
         b.iter(|| {
-            black_box(Reply::parse_line("227 Entering Passive Mode (10,0,0,5,19,137).").unwrap())
+            let line = black_box("227 Entering Passive Mode (10,0,0,5,19,137).");
+            black_box(replies.push_line(line).unwrap().map(|r| r.code()))
         })
     });
     c.bench_function("pasv_extract", |b| {
@@ -185,12 +210,13 @@ fn protocol_bench(c: &mut Criterion) {
 fn reply_tolerance_bench(c: &mut Criterion) {
     let clean = "230 Login successful";
     let quirky = "230Login successful"; // jammed text
+    let mut replies = ReplyBuf::new();
     let mut g = c.benchmark_group("ablation_reply_tolerance");
     g.bench_function("clean_line", |b| {
-        b.iter(|| black_box(Reply::parse_line(black_box(clean)).unwrap()))
+        b.iter(|| black_box(replies.push_line(black_box(clean)).unwrap().map(|r| r.code())))
     });
     g.bench_function("quirky_line", |b| {
-        b.iter(|| black_box(Reply::parse_line(black_box(quirky)).unwrap()))
+        b.iter(|| black_box(replies.push_line(black_box(quirky)).unwrap().map(|r| r.code())))
     });
     g.finish();
 }

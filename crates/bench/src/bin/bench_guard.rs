@@ -15,11 +15,13 @@
 //! cargo bench-guard [--baseline PATH]
 //! ```
 //!
-//! The gate compares like with like or not at all: when the baseline was
-//! recorded on a machine with a different `threads_available`, the run
-//! is skipped (exit 0) rather than failing on hardware differences, and
-//! a missing baseline file also skips — the gate guards committed
-//! numbers, it does not create them.
+//! The stage gate compares like with like or not at all: when the
+//! baseline was recorded on a machine with a different
+//! `threads_available`, the hosts/sec and allocs/op comparisons are
+//! skipped rather than failing on hardware differences. The behavior
+//! counters do not depend on the hardware, so their exact comparison
+//! runs on every machine. A missing baseline file skips everything (exit
+//! 0) — the gate guards committed numbers, it does not create them.
 
 use bench::pipeline;
 
@@ -45,22 +47,70 @@ fn main() {
         eprintln!("bench-guard: no baseline at {baseline_path}; skipping");
         return;
     };
-    let base_threads = pipeline::extract_u64(&baseline, "threads_available").unwrap_or(1);
+    let servers = pipeline::extract_u64(&baseline, "servers").unwrap_or(600) as usize;
+    let mut failures = stage_failures(&baseline, &baseline_path, servers);
+
+    // Behavior-count gate: baselines carrying a metrics block pin the
+    // exact event counts the study produces at the benchmark seed.
+    let base_metrics = pipeline::parse_baseline_metrics(&baseline);
+    if !base_metrics.is_empty() {
+        match pipeline::behavior_metrics(servers) {
+            Some(now) => {
+                let current: Vec<(String, u64)> = obs::Counter::ALL
+                    .iter()
+                    .map(|c| (c.name().to_owned(), now.counter(*c)))
+                    .collect();
+                for (name, base_value) in &base_metrics {
+                    match current.iter().find(|(n, _)| n == name) {
+                        Some((_, now_value)) if now_value == base_value => {}
+                        Some((_, now_value)) => {
+                            eprintln!(
+                                "bench-guard: FAIL metric {name}: {now_value} != baseline {base_value}"
+                            );
+                            failures += 1;
+                        }
+                        None => {
+                            eprintln!("bench-guard: metric {name} missing from current build");
+                            failures += 1;
+                        }
+                    }
+                }
+            }
+            None => {
+                eprintln!("bench-guard: baseline has metrics but this build collected none");
+                failures += 1;
+            }
+        }
+    }
+
+    if failures > 0 {
+        eprintln!("bench-guard: {failures} regression(s) vs {baseline_path}");
+        std::process::exit(1);
+    }
+    eprintln!("bench-guard: no regression vs {baseline_path}");
+}
+
+/// Re-runs the pipeline stages and counts hosts/sec and allocs/op
+/// regressions against the baseline's stage rows. Skips (0 failures)
+/// when the baseline was recorded with a different `threads_available`
+/// or carries no stage rows.
+fn stage_failures(baseline: &str, baseline_path: &str, servers: usize) -> u32 {
+    let base_threads = pipeline::extract_u64(baseline, "threads_available").unwrap_or(1);
     let here_threads = pipeline::threads_available() as u64;
     if base_threads != here_threads {
         eprintln!(
             "bench-guard: baseline recorded with threads_available={base_threads}, \
-             this machine has {here_threads}; skipping (numbers are not comparable)"
+             this machine has {here_threads}; skipping the stage comparisons (numbers \
+             are not comparable)"
         );
-        return;
+        return 0;
     }
-    let servers = pipeline::extract_u64(&baseline, "servers").unwrap_or(600) as usize;
-    let shards = pipeline::extract_u64(&baseline, "shards").unwrap_or(8).max(1);
-    let iters = pipeline::extract_u64(&baseline, "iters").unwrap_or(3) as u32;
-    let base_stages = pipeline::parse_baseline_stages(&baseline);
+    let shards = pipeline::extract_u64(baseline, "shards").unwrap_or(8).max(1);
+    let iters = pipeline::extract_u64(baseline, "iters").unwrap_or(3) as u32;
+    let base_stages = pipeline::parse_baseline_stages(baseline);
     if base_stages.is_empty() {
-        eprintln!("bench-guard: baseline {baseline_path} has no stage rows; skipping");
-        return;
+        eprintln!("bench-guard: baseline {baseline_path} has no stage rows; skipping them");
+        return 0;
     }
 
     eprintln!("bench-guard: re-running {servers} servers, best of {iters} iters");
@@ -109,43 +159,8 @@ fn main() {
             }
         }
     }
-
-    // Behavior-count gate: baselines carrying a metrics block pin the
-    // exact event counts the study produces at the benchmark seed.
-    let base_metrics = pipeline::parse_baseline_metrics(&baseline);
-    if !base_metrics.is_empty() {
-        match pipeline::behavior_metrics(servers) {
-            Some(now) => {
-                let current: Vec<(String, u64)> = obs::Counter::ALL
-                    .iter()
-                    .map(|c| (c.name().to_owned(), now.counter(*c)))
-                    .collect();
-                for (name, base_value) in &base_metrics {
-                    match current.iter().find(|(n, _)| n == name) {
-                        Some((_, now_value)) if now_value == base_value => {}
-                        Some((_, now_value)) => {
-                            eprintln!(
-                                "bench-guard: FAIL metric {name}: {now_value} != baseline {base_value}"
-                            );
-                            failures += 1;
-                        }
-                        None => {
-                            eprintln!("bench-guard: metric {name} missing from current build");
-                            failures += 1;
-                        }
-                    }
-                }
-            }
-            None => {
-                eprintln!("bench-guard: baseline has metrics but this build collected none");
-                failures += 1;
-            }
-        }
+    if failures == 0 {
+        eprintln!("bench-guard: all {} stages within budget", base_stages.len());
     }
-
-    if failures > 0 {
-        eprintln!("bench-guard: {failures} regression(s) vs {baseline_path}");
-        std::process::exit(1);
-    }
-    eprintln!("bench-guard: all {} stages within budget", base_stages.len());
+    failures
 }

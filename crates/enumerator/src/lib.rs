@@ -50,6 +50,6 @@ pub use client::Enumerator;
 pub use collector::BounceCollector;
 pub use config::{EnumConfig, TraversalOrder};
 pub use record::{
-    FaultStats, FileEntry, FileEntryRef, FileTable, FileTableIter, FtpsObservation, GaveUpReason,
+    FaultStats, FileEntryRef, FileTable, FileTableIter, FtpsObservation, GaveUpReason,
     HostRecord, LoginOutcome, RobotsInfo, RunSummary,
 };

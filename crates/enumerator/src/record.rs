@@ -106,41 +106,8 @@ pub struct RobotsInfo {
     pub denies_all: bool,
 }
 
-/// One file or directory observed during traversal.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FileEntry {
-    /// Full canonical path.
-    pub path: String,
-    /// True for directories.
-    pub is_dir: bool,
-    /// Size, when the listing exposed it.
-    pub size: Option<u64>,
-    /// The paper's three-way readability classification.
-    pub readability: Readability,
-    /// Owner column, when exposed (`ftp`, `root`, …).
-    pub owner: Option<String>,
-    /// All-users write bit, when permissions were exposed.
-    pub other_writable: Option<bool>,
-}
-
-impl FileEntry {
-    /// The file's name (final path component).
-    pub fn name(&self) -> &str {
-        self.path.rsplit('/').next().unwrap_or("")
-    }
-
-    /// Lower-cased extension without the dot, if any.
-    pub fn extension(&self) -> Option<String> {
-        let name = self.name();
-        let dot = name.rfind('.')?;
-        if dot == 0 || dot + 1 == name.len() {
-            return None;
-        }
-        Some(name[dot + 1..].to_ascii_lowercase())
-    }
-}
-
-/// A borrowed view of one [`FileTable`] row.
+/// One file or directory observed during traversal: a borrowed view of
+/// one [`FileTable`] row.
 ///
 /// `Copy`, and every string accessor returns a slice tied to the
 /// *table's* lifetime (`self` is taken by value), so callers can hold
@@ -182,9 +149,9 @@ impl<'a> FileEntryRef<'a> {
 
 /// Struct-of-arrays storage for a host's observed files.
 ///
-/// The AoS form (`Vec<FileEntry>`) cost four-plus heap allocations per
+/// An array of owned rows would cost four-plus heap allocations per
 /// row (path `String`, optional owner `String`, and a fresh lowercase
-/// `String` per `extension()` call in every analysis pass). This table
+/// `String` per extension lookup in every analysis pass). This table
 /// stores all paths in one arena string with end offsets, interns the
 /// handful of distinct owner names per host, and precomputes lowercase
 /// extensions into a side arena — row access hands out [`FileEntryRef`]
@@ -240,22 +207,6 @@ impl FileTable {
         let name_start = self.paths.len() as u32;
         self.paths.push_str(name);
         self.finish_row(name_start, is_dir, size, readability, owner, other_writable);
-    }
-
-    /// Appends an owned [`FileEntry`] (construction and test paths; the
-    /// enumerator's hot path uses [`FileTable::push_parts`]).
-    pub fn push(&mut self, e: FileEntry) {
-        let name_rel = e.path.rfind('/').map_or(0, |i| i + 1);
-        self.paths.push_str(&e.path);
-        let name_start = (self.paths.len() - (e.path.len() - name_rel)) as u32;
-        self.finish_row(
-            name_start,
-            e.is_dir,
-            e.size,
-            e.readability,
-            e.owner.as_deref(),
-            e.other_writable,
-        );
     }
 
     fn finish_row(
@@ -365,16 +316,6 @@ impl<'a> IntoIterator for &'a FileTable {
     }
 }
 
-impl From<Vec<FileEntry>> for FileTable {
-    fn from(entries: Vec<FileEntry>) -> Self {
-        let mut t = FileTable::default();
-        for e in entries {
-            t.push(e);
-        }
-        t
-    }
-}
-
 /// FTPS observation for one host.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub struct FtpsObservation {
@@ -481,99 +422,113 @@ impl HostRecord {
 mod tests {
     use super::*;
 
-    fn entry(path: &str, is_dir: bool) -> FileEntry {
-        FileEntry {
-            path: path.to_owned(),
-            is_dir,
-            size: None,
-            readability: Readability::Unknown,
-            owner: None,
-            other_writable: None,
-        }
+    /// Appends the absolute `path` as a row with no size, owner or
+    /// write bit, as the record tests build their tables.
+    fn push_path(t: &mut FileTable, path: &str, is_dir: bool) {
+        let (dir, name) = path.rsplit_once('/').expect("absolute path");
+        let dir = if dir.is_empty() { "/" } else { dir };
+        t.push_parts(dir, name, is_dir, None, Readability::Unknown, None, None);
+    }
+
+    /// The single row `path` (a file).
+    fn row_of(path: &str) -> FileTable {
+        let mut t = FileTable::default();
+        push_path(&mut t, path, false);
+        t
     }
 
     #[test]
     fn name_and_extension() {
-        let e = entry("/pub/photos/DSC_0001.JPG", false);
-        assert_eq!(e.name(), "DSC_0001.JPG");
-        assert_eq!(e.extension().as_deref(), Some("jpg"));
-        assert_eq!(entry("/x/noext", false).extension(), None);
-        assert_eq!(entry("/x/.hidden", false).extension(), None);
-        assert_eq!(entry("/x/trailing.", false).extension(), None);
-        assert_eq!(entry("/a/b.tar.gz", false).extension().as_deref(), Some("gz"));
+        let t = row_of("/pub/photos/DSC_0001.JPG");
+        assert_eq!(t.get(0).name(), "DSC_0001.JPG");
+        assert_eq!(t.get(0).extension(), Some("jpg"));
+        assert_eq!(row_of("/x/noext").get(0).extension(), None);
+        assert_eq!(row_of("/x/.hidden").get(0).extension(), None);
+        assert_eq!(row_of("/x/trailing.").get(0).extension(), None);
+        assert_eq!(row_of("/a/b.tar.gz").get(0).extension(), Some("gz"));
     }
 
     #[test]
     fn table_roundtrips_entries() {
-        let entries = vec![
-            FileEntry {
-                path: "/pub/photos/DSC_0001.JPG".to_owned(),
-                is_dir: false,
-                size: Some(120),
-                readability: Readability::Readable,
-                owner: Some("ftp".to_owned()),
-                other_writable: Some(false),
-            },
-            entry("/pub", true),
-            FileEntry {
-                path: "/etc/shadow".to_owned(),
-                is_dir: false,
-                size: None,
-                readability: Readability::NonReadable,
-                owner: Some("root".to_owned()),
-                other_writable: None,
-            },
-            entry("/root-file", false),
+        let mut t = FileTable::default();
+        t.push_parts(
+            "/pub/photos",
+            "DSC_0001.JPG",
+            false,
+            Some(120),
+            Readability::Readable,
+            Some("ftp"),
+            Some(false),
+        );
+        push_path(&mut t, "/pub", true);
+        t.push_parts("/etc", "shadow", false, None, Readability::NonReadable, Some("root"), None);
+        push_path(&mut t, "/root-file", false);
+        // (path, name, extension, is_dir, size, readability, owner, other_writable)
+        let expected = [
+            (
+                "/pub/photos/DSC_0001.JPG",
+                "DSC_0001.JPG",
+                Some("jpg"),
+                false,
+                Some(120),
+                Readability::Readable,
+                Some("ftp"),
+                Some(false),
+            ),
+            ("/pub", "pub", None, true, None, Readability::Unknown, None, None),
+            (
+                "/etc/shadow",
+                "shadow",
+                None,
+                false,
+                None,
+                Readability::NonReadable,
+                Some("root"),
+                None,
+            ),
+            ("/root-file", "root-file", None, false, None, Readability::Unknown, None, None),
         ];
-        let t = FileTable::from(entries.clone());
-        assert_eq!(t.len(), entries.len());
-        for (row, e) in t.iter().zip(&entries) {
-            assert_eq!(row.path, e.path);
-            assert_eq!(row.name(), e.name());
-            assert_eq!(row.extension(), e.extension().as_deref());
-            assert_eq!(row.is_dir, e.is_dir);
-            assert_eq!(row.size, e.size);
-            assert_eq!(row.readability, e.readability);
-            assert_eq!(row.owner, e.owner.as_deref());
-            assert_eq!(row.other_writable, e.other_writable);
+        assert_eq!(t.len(), expected.len());
+        for (row, e) in t.iter().zip(expected) {
+            let got = (
+                row.path,
+                row.name(),
+                row.extension(),
+                row.is_dir,
+                row.size,
+                row.readability,
+                row.owner,
+                row.other_writable,
+            );
+            assert_eq!(got, e);
         }
         assert_eq!(t.last_path(), Some("/root-file"));
     }
 
     #[test]
-    fn push_parts_matches_push() {
-        let mut by_parts = FileTable::default();
-        by_parts.push_parts("/", "readme.TXT", false, Some(3), Readability::Readable, None, None);
-        by_parts.push_parts("/pub", "inner", true, None, Readability::Unknown, Some("ftp"), None);
-        by_parts.push_parts("/pub/inner", ".hidden", false, None, Readability::Unknown, None, None);
-        let mut by_push = FileTable::default();
-        by_push.push(entry("/readme.TXT", false));
-        by_push.push(entry("/pub/inner", true));
-        by_push.push(entry("/pub/inner/.hidden", false));
-        let parts: Vec<(String, String, Option<String>)> = by_parts
-            .iter()
-            .map(|r| {
-                (r.path.to_owned(), r.name().to_owned(), r.extension().map(str::to_owned))
-            })
-            .collect();
-        let pushed: Vec<(String, String, Option<String>)> = by_push
-            .iter()
-            .map(|r| {
-                (r.path.to_owned(), r.name().to_owned(), r.extension().map(str::to_owned))
-            })
-            .collect();
-        assert_eq!(parts, pushed);
-        assert_eq!(parts[0], ("/readme.TXT".to_owned(), "readme.TXT".to_owned(), Some("txt".to_owned())));
-        assert_eq!(parts[2].2, None, ".hidden has no extension");
+    fn push_parts_joins_dir_and_name() {
+        let mut t = FileTable::default();
+        t.push_parts("/", "readme.TXT", false, Some(3), Readability::Readable, None, None);
+        t.push_parts("/pub", "inner", true, None, Readability::Unknown, Some("ftp"), None);
+        t.push_parts("/pub/inner", ".hidden", false, None, Readability::Unknown, None, None);
+        let rows: Vec<_> = t.iter().map(|r| (r.path, r.name(), r.extension())).collect();
+        assert_eq!(
+            rows,
+            [
+                ("/readme.TXT", "readme.TXT", Some("txt")),
+                ("/pub/inner", "inner", None),
+                ("/pub/inner/.hidden", ".hidden", None),
+            ]
+        );
     }
 
     #[test]
     fn exposes_data_ignores_directories() {
         let mut r = HostRecord::new(Ipv4Addr::new(1, 2, 3, 4));
         assert!(!r.exposes_data());
-        r.files.push(entry("/pub", true));
+        push_path(&mut r.files, "/pub", true);
         assert!(!r.exposes_data());
-        r.files.push(entry("/pub/file.txt", false));
+        push_path(&mut r.files, "/pub/file.txt", false);
         assert!(r.exposes_data());
         assert_eq!(r.file_count(), 1);
     }

@@ -13,7 +13,7 @@ use netsim::{ConnId, Ctx, Endpoint, FaultKind, FaultProfile, SimDuration, Simula
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use simvfs::{FileMeta, Vfs};
+use simvfs::{FileAttrs, Vfs};
 use std::net::Ipv4Addr;
 
 const SCANNER: Ipv4Addr = Ipv4Addr::new(198, 108, 0, 1);
@@ -93,7 +93,7 @@ proptest! {
         // Two honest ones interleaved.
         for n in 6..=7u8 {
             let mut vfs = Vfs::new();
-            vfs.add_file("/pub/data.txt", FileMeta::public(3).with_content("ok")).unwrap();
+            vfs.add_file("/pub/data.txt", FileAttrs::public(3).with_content("ok")).unwrap();
             let profile =
                 ServerProfile::new("ProFTPD 1.3.5 Server").with_anonymous(AnonPolicy::Allowed);
             let id = sim.register_endpoint(Box::new(FtpServerEngine::new(ip(n), profile, vfs)));
@@ -128,7 +128,7 @@ proptest! {
 /// Binds an honest anonymous server with one public file at `addr`.
 fn bind_honest(sim: &mut Simulator, addr: Ipv4Addr) {
     let mut vfs = Vfs::new();
-    vfs.add_file("/pub/data.txt", FileMeta::public(3).with_content("ok")).unwrap();
+    vfs.add_file("/pub/data.txt", FileAttrs::public(3).with_content("ok")).unwrap();
     let profile = ServerProfile::new("ProFTPD 1.3.5 Server").with_anonymous(AnonPolicy::Allowed);
     let id = sim.register_endpoint(Box::new(FtpServerEngine::new(addr, profile, vfs)));
     sim.bind(addr, 21, id);

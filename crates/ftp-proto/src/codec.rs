@@ -12,12 +12,10 @@
 //! the buffer until the next codec call consumes them, so a clean ASCII
 //! line — the overwhelming case — is decoded with zero allocations and
 //! zero copies. Invalid UTF-8 falls back to one reusable lossy scratch
-//! per codec. The owned [`LineCodec::next_line`] survives as a thin
-//! wrapper for tests and cold callers.
+//! per codec. A caller that keeps a line copies it.
 
 use crate::error::ProtoError;
 use bytes::BytesMut;
-use std::borrow::Cow;
 
 /// Telnet "Interpret As Command" escape byte.
 const IAC: u8 = 255;
@@ -36,10 +34,10 @@ pub const MAX_LINE: usize = 8192;
 ///
 /// let mut codec = LineCodec::new();
 /// codec.extend(b"220 Welcome\r\n331 Pas");
-/// assert_eq!(codec.next_line()?, Some("220 Welcome".to_owned()));
-/// assert_eq!(codec.next_line()?, None);
+/// assert_eq!(codec.next_line_str()?, Some("220 Welcome"));
+/// assert_eq!(codec.next_line_str()?, None);
 /// codec.extend(b"sword required\r\n");
-/// assert_eq!(codec.next_line()?, Some("331 Password required".to_owned()));
+/// assert_eq!(codec.next_line_str()?, Some("331 Password required"));
 /// # Ok::<(), ftp_proto::ProtoError>(())
 /// ```
 #[derive(Debug, Default)]
@@ -142,20 +140,8 @@ impl LineCodec {
         Ok(Some(&self.lossy))
     }
 
-    /// Extracts the next complete line, if one is buffered, as an owned
-    /// `String`. Thin wrapper over [`LineCodec::next_line_str`] kept for
-    /// tests and cold callers.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProtoError::LineTooLong`] when more than [`MAX_LINE`]
-    /// bytes accumulate without a terminator.
-    pub fn next_line(&mut self) -> Result<Option<String>, ProtoError> {
-        Ok(self.next_line_str()?.map(str::to_owned))
-    }
-
-    /// Like [`LineCodec::next_line`], but decodes into a caller-provided
-    /// buffer instead of allocating a fresh `String` per line.
+    /// Like [`LineCodec::next_line_str`], but copies the line into a
+    /// caller-provided buffer that outlives the next codec call.
     ///
     /// `out` is cleared first; returns `Ok(true)` when a complete line
     /// was decoded into it.
@@ -182,46 +168,19 @@ impl LineCodec {
         if self.buf.is_empty() {
             return None;
         }
-        let cleaned = strip_iac(&self.buf);
-        let mut out = String::with_capacity(cleaned.len());
-        lossy_append(&mut out, &cleaned);
+        let len = strip_iac_in_place(&mut self.buf);
+        let mut out = String::with_capacity(len);
+        lossy_append(&mut out, &self.buf[..len]);
         self.buf.clear();
         Some(out)
     }
 }
 
-/// Removes Telnet IAC sequences without allocating when no IAC byte is
-/// present (the overwhelming case): `IAC IAC` unescapes to a literal
-/// 255, `IAC <cmd>` and `IAC <cmd> <opt>` are dropped.
-pub fn strip_iac(bytes: &[u8]) -> Cow<'_, [u8]> {
-    if !bytes.contains(&IAC) {
-        return Cow::Borrowed(bytes);
-    }
-    let mut out = Vec::with_capacity(bytes.len());
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == IAC {
-            match bytes.get(i + 1) {
-                Some(&IAC) => {
-                    out.push(IAC);
-                    i += 2;
-                }
-                // WILL/WONT/DO/DONT take an option byte.
-                Some(&cmd) if (251..=254).contains(&cmd) => i += 3,
-                Some(_) => i += 2,
-                None => i += 1,
-            }
-        } else {
-            out.push(bytes[i]);
-            i += 1;
-        }
-    }
-    Cow::Owned(out)
-}
-
-/// In-place variant of [`strip_iac`]: compacts the slice and returns the
-/// new length. Same escape semantics; the write cursor never passes the
-/// read cursor, so the compaction is a single forward pass.
+/// Removes Telnet IAC sequences in place and returns the new length:
+/// `IAC IAC` unescapes to a literal 255, `IAC <cmd>` and `IAC <cmd> <opt>`
+/// are dropped, and so is a dangling IAC at the end. The write cursor
+/// never passes the read cursor, so the compaction is a single forward
+/// pass.
 fn strip_iac_in_place(bytes: &mut [u8]) -> usize {
     let mut w = 0;
     let mut i = 0;
@@ -275,27 +234,27 @@ mod tests {
     fn splits_crlf_lines() {
         let mut c = LineCodec::new();
         c.extend(b"a\r\nb\r\n");
-        assert_eq!(c.next_line().unwrap(), Some("a".into()));
-        assert_eq!(c.next_line().unwrap(), Some("b".into()));
-        assert_eq!(c.next_line().unwrap(), None);
+        assert_eq!(c.next_line_str().unwrap(), Some("a"));
+        assert_eq!(c.next_line_str().unwrap(), Some("b"));
+        assert_eq!(c.next_line_str().unwrap(), None);
     }
 
     #[test]
     fn tolerates_bare_lf() {
         let mut c = LineCodec::new();
         c.extend(b"hello\nworld\n");
-        assert_eq!(c.next_line().unwrap(), Some("hello".into()));
-        assert_eq!(c.next_line().unwrap(), Some("world".into()));
+        assert_eq!(c.next_line_str().unwrap(), Some("hello"));
+        assert_eq!(c.next_line_str().unwrap(), Some("world"));
     }
 
     #[test]
     fn partial_lines_buffered() {
         let mut c = LineCodec::new();
         c.extend(b"par");
-        assert_eq!(c.next_line().unwrap(), None);
+        assert_eq!(c.next_line_str().unwrap(), None);
         assert_eq!(c.buffered(), 3);
         c.extend(b"tial\r\n");
-        assert_eq!(c.next_line().unwrap(), Some("partial".into()));
+        assert_eq!(c.next_line_str().unwrap(), Some("partial"));
         assert_eq!(c.buffered(), 0);
     }
 
@@ -307,7 +266,7 @@ mod tests {
         c.extend(b"OK");
         c.extend(&[255, 255]);
         c.extend(b"\r\n");
-        let line = c.next_line().unwrap().unwrap();
+        let line = c.next_line_str().unwrap().unwrap();
         assert!(line.starts_with("OK"));
         assert_eq!(line.as_bytes().last(), Some(&0xbd)); // U+FFFD tail byte of lossy 255
     }
@@ -316,7 +275,7 @@ mod tests {
     fn non_utf8_is_lossy_not_fatal() {
         let mut c = LineCodec::new();
         c.extend(&[0xC3, 0x28, b'\r', b'\n']); // invalid UTF-8 pair
-        let line = c.next_line().unwrap().unwrap();
+        let line = c.next_line_str().unwrap().unwrap();
         assert!(line.contains('\u{FFFD}'));
     }
 
@@ -324,7 +283,7 @@ mod tests {
     fn overlong_line_errors_and_resets() {
         let mut c = LineCodec::new();
         c.extend(&vec![b'x'; MAX_LINE + 1]);
-        assert!(matches!(c.next_line(), Err(ProtoError::LineTooLong { .. })));
+        assert!(matches!(c.next_line_str(), Err(ProtoError::LineTooLong { .. })));
         // State is cleared so the session can resync.
         assert_eq!(c.buffered(), 0);
     }
@@ -333,9 +292,9 @@ mod tests {
     fn take_remainder_flushes_unterminated_tail() {
         let mut c = LineCodec::new();
         c.extend(b"221 Goodbye");
-        assert_eq!(c.next_line().unwrap(), None);
-        assert_eq!(c.take_remainder(), Some("221 Goodbye".into()));
-        assert_eq!(c.take_remainder(), None);
+        assert_eq!(c.next_line_str().unwrap(), None);
+        assert_eq!(c.take_remainder().as_deref(), Some("221 Goodbye"));
+        assert_eq!(c.take_remainder().as_deref(), None);
     }
 
     #[test]
@@ -357,9 +316,9 @@ mod tests {
         // unescape to a single literal 255 once the line completes.
         let mut c = LineCodec::new();
         c.extend(&[b'x', 255]);
-        assert_eq!(c.next_line().unwrap(), None);
+        assert_eq!(c.next_line_str().unwrap(), None);
         c.extend(&[255, b'y', b'\r', b'\n']);
-        let line = c.next_line().unwrap().unwrap();
+        let line = c.next_line_str().unwrap().unwrap();
         // x + lossy(255) + y
         assert_eq!(line, "x\u{FFFD}y");
 
@@ -369,26 +328,31 @@ mod tests {
         c.extend(&[251]);
         c.extend(&[1]);
         c.extend(b"ok\n");
-        assert_eq!(c.next_line().unwrap(), Some("ok".into()));
+        assert_eq!(c.next_line_str().unwrap(), Some("ok"));
     }
 
     #[test]
-    fn strip_iac_borrows_when_clean() {
-        assert!(matches!(strip_iac(b"clean line"), Cow::Borrowed(_)));
-        let stripped = strip_iac(&[b'a', 255, 251, 1, b'b']);
-        assert!(matches!(stripped, Cow::Owned(_)));
-        assert_eq!(&stripped[..], b"ab");
-        // Escaped IAC IAC unescapes to one literal 255.
-        assert_eq!(&strip_iac(&[255, 255])[..], &[255][..]);
-        // A dangling IAC at end-of-buffer is dropped, not kept.
-        assert_eq!(&strip_iac(&[b'a', 255])[..], b"a");
+    fn iac_escapes_in_lines_and_remainders() {
+        // IAC WILL <opt> is dropped; text around it is kept.
+        let mut c = LineCodec::new();
+        c.extend(&[b'a', 255, 251, 1, b'b', b'\r', b'\n']);
+        assert_eq!(c.next_line_str().unwrap(), Some("ab"));
+        // Escaped IAC IAC unescapes to one literal 255 (lossy-decoded).
+        c.extend(&[255, 255, b'\n']);
+        assert_eq!(c.next_line_str().unwrap(), Some("\u{FFFD}"));
+        // The unterminated remainder gets the same stripping, and a
+        // dangling IAC at end-of-buffer is dropped, not kept.
+        c.extend(&[b'a', 255, 251, 1, b'b', 255, 255, b'c', 255]);
+        assert_eq!(c.take_remainder().as_deref(), Some("ab\u{FFFD}c"));
+        c.extend(b"clean");
+        assert_eq!(c.take_remainder().as_deref(), Some("clean"));
     }
 
     #[test]
     fn take_remainder_strips_iac_without_extra_copies() {
         let mut c = LineCodec::new();
         c.extend(&[b'2', b'2', b'1', 255, 251, 1, b' ', b'b', b'y', b'e']);
-        assert_eq!(c.take_remainder(), Some("221 bye".into()));
+        assert_eq!(c.take_remainder().as_deref(), Some("221 bye"));
     }
 
     #[test]
@@ -396,8 +360,8 @@ mod tests {
         let mut c = LineCodec::new();
         c.extend(b"one\r\ntwo\r\npartial");
         assert_eq!(c.unterminated_tail_len(), 7);
-        assert_eq!(c.next_line().unwrap(), Some("one".into()));
-        assert_eq!(c.next_line().unwrap(), Some("two".into()));
+        assert_eq!(c.next_line_str().unwrap(), Some("one"));
+        assert_eq!(c.next_line_str().unwrap(), Some("two"));
         assert_eq!(c.unterminated_tail_len(), 7);
         c.extend(b"\r\n");
         assert_eq!(c.unterminated_tail_len(), 0);

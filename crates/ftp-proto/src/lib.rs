@@ -18,12 +18,13 @@
 //! # Example
 //!
 //! ```
-//! use ftp_proto::{Command, Reply};
+//! use ftp_proto::{Command, ReplyBuf};
 //!
 //! let cmd: Command = "RETR robots.txt".parse()?;
 //! assert_eq!(cmd, Command::Retr("robots.txt".into()));
 //!
-//! let reply = Reply::parse_line("220 ProFTPD 1.3.5 Server ready.")?;
+//! let mut replies = ReplyBuf::new();
+//! let reply = replies.push_line("220 ProFTPD 1.3.5 Server ready.")?.expect("single-line reply");
 //! assert!(reply.code().is_positive_completion());
 //! # Ok::<(), ftp_proto::ProtoError>(())
 //! ```
@@ -43,11 +44,11 @@ pub mod reply;
 pub mod robots;
 
 pub use banner::{Banner, ServerSoftware, SoftwareFamily};
-pub use codec::{lossy_append, strip_iac, LineCodec};
+pub use codec::{lossy_append, LineCodec};
 pub use command::Command;
 pub use error::ProtoError;
 pub use hostport::HostPort;
-pub use listing::{ListingEntry, ListingFormat, Permissions};
+pub use listing::{ListingFormat, Permissions};
 pub use path::FtpPath;
-pub use reply::{Reply, ReplyBuf, ReplyCode, ReplyRef};
+pub use reply::{ReplyBuf, ReplyCode, ReplyRef};
 pub use robots::Robots;

@@ -149,49 +149,6 @@ impl fmt::Display for Permissions {
     }
 }
 
-/// One parsed entry from a directory listing.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ListingEntry {
-    /// File or directory name (final component only).
-    pub name: String,
-    /// True for directories.
-    pub is_dir: bool,
-    /// Size in bytes when the format exposes it.
-    pub size: Option<u64>,
-    /// UNIX permissions when the format exposes them.
-    pub permissions: Option<Permissions>,
-    /// Owner name when the format exposes it (e.g. `ftp`).
-    pub owner: Option<String>,
-    /// Raw modification-time text as shown in the listing.
-    pub mtime: Option<String>,
-    /// True for symlinks (UNIX `l` type); the link target is stripped.
-    pub is_symlink: bool,
-}
-
-impl ListingEntry {
-    /// Creates a directory entry with only a name (as from `NLST`).
-    pub fn bare(name: impl Into<String>, is_dir: bool) -> Self {
-        ListingEntry {
-            name: name.into(),
-            is_dir,
-            size: None,
-            permissions: None,
-            owner: None,
-            mtime: None,
-            is_symlink: false,
-        }
-    }
-
-    /// The paper's three-way readability classification for this entry.
-    pub fn readability(&self) -> Readability {
-        match self.permissions {
-            Some(p) if p.other_read() => Readability::Readable,
-            Some(_) => Readability::NonReadable,
-            None => Readability::Unknown,
-        }
-    }
-}
-
 /// Modification-time text as parsed from a listing line, kept as slices
 /// of the source columns so the borrowed parse path allocates nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -216,18 +173,6 @@ pub enum MtimeRef<'a> {
         /// Time column (`09:43AM`).
         time: &'a str,
     },
-}
-
-impl MtimeRef<'_> {
-    /// The owned single-string form [`ListingEntry::mtime`] carries.
-    pub fn to_owned_string(self) -> Option<String> {
-        match self {
-            MtimeRef::None => None,
-            MtimeRef::Raw(s) => Some(s.to_owned()),
-            MtimeRef::Unix { month, day, tail } => Some(format!("{month} {day} {tail}")),
-            MtimeRef::Dos { date, time } => Some(format!("{date} {time}")),
-        }
-    }
 }
 
 /// A borrowed parsed listing entry: every text field is a slice of the
@@ -261,38 +206,18 @@ impl ParsedEntryRef<'_> {
             None => Readability::Unknown,
         }
     }
-
-    /// Copies into an owned [`ListingEntry`].
-    pub fn to_owned_entry(&self) -> ListingEntry {
-        ListingEntry {
-            name: self.name.to_owned(),
-            is_dir: self.is_dir,
-            size: self.size,
-            permissions: self.permissions,
-            owner: self.owner.map(str::to_owned),
-            mtime: self.mtime.to_owned_string(),
-            is_symlink: self.is_symlink,
-        }
-    }
 }
 
 /// Parses one listing line, trying the given format first and falling
 /// back to sniffing the others — the tolerance strategy the paper's
 /// enumerator converged on after iterative testing against live servers.
+/// The returned entry's text fields are slices of `line`, so the
+/// per-line hot path allocates nothing.
 ///
 /// Lines that are recognized as noise (e.g. `total 52` headers) return
-/// `Ok(None)`.
-///
-/// # Errors
-///
-/// Returns [`ProtoError::BadListing`] if no parser recognizes the line.
-pub fn parse_line(line: &str, hint: ListingFormat) -> Result<Option<ListingEntry>, ProtoError> {
-    Ok(parse_line_ref(line, hint)?.map(|e| e.to_owned_entry()))
-}
-
-/// Borrowed-view variant of [`parse_line`]: the returned entry's text
-/// fields are slices of `line`, so the per-line hot path allocates
-/// nothing.
+/// `Ok(None)`. The enumerator counts per-line failures instead of
+/// aborting, so a single weird line does not lose a 10 000-entry
+/// directory (a real-world lesson from §III).
 ///
 /// # Errors
 ///
@@ -334,22 +259,6 @@ pub fn parse_line_ref(
         }
     }
     Err(ProtoError::bad_listing(line))
-}
-
-/// Parses a full multi-line listing body, skipping noise lines and
-/// collecting per-line failures separately so a single weird line does
-/// not abort a 10 000-entry directory (a real-world lesson from §III).
-pub fn parse_body(body: &str, hint: ListingFormat) -> (Vec<ListingEntry>, usize) {
-    let mut entries = Vec::new();
-    let mut failures = 0;
-    for line in body.lines() {
-        match parse_line(line, hint) {
-            Ok(Some(e)) => entries.push(e),
-            Ok(None) => {}
-            Err(_) => failures += 1,
-        }
-    }
-    (entries, failures)
 }
 
 /// The whitespace-separated columns of a listing line, read left to
@@ -609,9 +518,8 @@ fn parse_mlsd(line: &str) -> Option<ParsedEntryRef<'_>> {
     })
 }
 
-/// A borrowed view of a listing entry, for rendering without building an
-/// owned [`ListingEntry`] first — the simulated servers render straight
-/// from their VFS metadata through this.
+/// A borrowed view of a listing entry to render — the simulated servers
+/// render straight from their VFS metadata through this.
 #[derive(Debug, Clone, Copy)]
 pub struct ListingEntryRef<'a> {
     /// File or directory name (final component only).
@@ -628,33 +536,10 @@ pub struct ListingEntryRef<'a> {
     pub mtime: Option<&'a str>,
 }
 
-impl ListingEntry {
-    /// The borrowed view of this entry, as [`render_line_into`] takes.
-    pub fn as_entry_ref(&self) -> ListingEntryRef<'_> {
-        ListingEntryRef {
-            name: &self.name,
-            is_dir: self.is_dir,
-            size: self.size,
-            permissions: self.permissions,
-            owner: self.owner.as_deref(),
-            mtime: self.mtime.as_deref(),
-        }
-    }
-}
-
-/// Renders a listing line in the given format — used by the simulated
-/// servers so the enumerator parses realistic output it did not itself
-/// produce.
-pub fn render_line(entry: &ListingEntry, format: ListingFormat) -> String {
-    let mut out = String::new();
-    render_line_into(entry.as_entry_ref(), format, &mut out);
-    out
-}
-
-/// Appends one rendered listing line (no trailing CRLF) to `out`.
-///
-/// This is the allocation-free path behind [`render_line`]: the hot
-/// server loop renders whole directory bodies into one reused buffer.
+/// Appends one rendered listing line (no trailing CRLF) to `out` — used
+/// by the simulated servers so the enumerator parses realistic output it
+/// did not itself produce. The hot server loop renders whole directory
+/// bodies into one reused buffer.
 /// Every column is written by hand, without `core::fmt`; the bytes are
 /// those of the `write!` templates noted per format.
 pub fn render_line_into(entry: ListingEntryRef<'_>, format: ListingFormat, out: &mut String) {
@@ -759,18 +644,18 @@ mod tests {
 
     #[test]
     fn unix_dir_line() {
-        let e = parse_line("drwxr-xr-x   2 ftp      ftp          4096 Jun 18  2015 pub", ListingFormat::Unix)
+        let e = parse_line_ref("drwxr-xr-x   2 ftp      ftp          4096 Jun 18  2015 pub", ListingFormat::Unix)
             .unwrap()
             .unwrap();
         assert!(e.is_dir);
         assert_eq!(e.name, "pub");
         assert_eq!(e.readability(), Readability::Readable);
-        assert_eq!(e.owner.as_deref(), Some("ftp"));
+        assert_eq!(e.owner, Some("ftp"));
     }
 
     #[test]
     fn unix_file_with_spaces_in_name() {
-        let e = parse_line(
+        let e = parse_line_ref(
             "-rw-r--r--   1 user     user      1048576 Jun 18 09:43 Tax Return 2014.pdf",
             ListingFormat::Unix,
         )
@@ -782,7 +667,7 @@ mod tests {
 
     #[test]
     fn unix_private_file_nonreadable() {
-        let e = parse_line(
+        let e = parse_line_ref(
             "-rw-------   1 root     root          718 Jan  5  2015 shadow",
             ListingFormat::Unix,
         )
@@ -793,7 +678,7 @@ mod tests {
 
     #[test]
     fn unix_symlink_strips_target() {
-        let e = parse_line(
+        let e = parse_line_ref(
             "lrwxrwxrwx   1 root     root           11 Jan  1  2014 www -> /var/www",
             ListingFormat::Unix,
         )
@@ -805,12 +690,12 @@ mod tests {
 
     #[test]
     fn unix_total_header_skipped() {
-        assert_eq!(parse_line("total 52", ListingFormat::Unix).unwrap(), None);
+        assert!(parse_line_ref("total 52", ListingFormat::Unix).unwrap().is_none());
     }
 
     #[test]
     fn dos_lines() {
-        let d = parse_line(
+        let d = parse_line_ref(
             "06-18-15  09:43AM       <DIR>          aspnet_client",
             ListingFormat::Dos,
         )
@@ -820,7 +705,7 @@ mod tests {
         assert_eq!(d.name, "aspnet_client");
         assert_eq!(d.readability(), Readability::Unknown);
 
-        let f = parse_line("06-18-15  09:43AM              1043901 products.mdb", ListingFormat::Dos)
+        let f = parse_line_ref("06-18-15  09:43AM              1043901 products.mdb", ListingFormat::Dos)
             .unwrap()
             .unwrap();
         assert!(!f.is_dir);
@@ -830,14 +715,14 @@ mod tests {
 
     #[test]
     fn eplf_lines() {
-        let f = parse_line("+i8388621.48594,m825718503,r,s280,\tdjb.html", ListingFormat::Eplf)
+        let f = parse_line_ref("+i8388621.48594,m825718503,r,s280,\tdjb.html", ListingFormat::Eplf)
             .unwrap()
             .unwrap();
         assert_eq!(f.name, "djb.html");
         assert_eq!(f.size, Some(280));
         assert!(!f.is_dir);
 
-        let d = parse_line("+i8388621.50690,m824255907,/,\t514", ListingFormat::Eplf)
+        let d = parse_line_ref("+i8388621.50690,m824255907,/,\t514", ListingFormat::Eplf)
             .unwrap()
             .unwrap();
         assert!(d.is_dir);
@@ -846,12 +731,12 @@ mod tests {
 
     #[test]
     fn mlsd_lines() {
-        let e = parse_line("type=dir;modify=20150618094300;perm=el; pub", ListingFormat::Mlsd)
+        let e = parse_line_ref("type=dir;modify=20150618094300;perm=el; pub", ListingFormat::Mlsd)
             .unwrap()
             .unwrap();
         assert!(e.is_dir);
         assert_eq!(e.name, "pub");
-        let f = parse_line("type=file;size=1024;modify=20150618094300; a.txt", ListingFormat::Mlsd)
+        let f = parse_line_ref("type=file;size=1024;modify=20150618094300; a.txt", ListingFormat::Mlsd)
             .unwrap()
             .unwrap();
         assert_eq!(f.size, Some(1024));
@@ -860,7 +745,7 @@ mod tests {
     #[test]
     fn sniffing_falls_back_across_formats() {
         // Ask for DOS but feed UNIX.
-        let e = parse_line(
+        let e = parse_line_ref(
             "drwxr-xr-x   2 ftp      ftp          4096 Jun 18  2015 pub",
             ListingFormat::Dos,
         )
@@ -871,32 +756,39 @@ mod tests {
 
     #[test]
     fn unparseable_line_is_error() {
-        assert!(parse_line("not a listing at all %%%", ListingFormat::Unix).is_err());
+        assert!(parse_line_ref("not a listing at all %%%", ListingFormat::Unix).is_err());
     }
 
     #[test]
-    fn parse_body_counts_failures() {
+    fn body_failures_are_counted_per_line() {
         let body = "total 8\r\ndrwxr-xr-x   2 ftp ftp 4096 Jun 18  2015 pub\r\n???garbage???\r\n";
-        let (entries, failures) = parse_body(body, ListingFormat::Unix);
-        assert_eq!(entries.len(), 1);
+        let (mut entries, mut failures) = (0, 0);
+        for line in body.lines() {
+            match parse_line_ref(line, ListingFormat::Unix) {
+                Ok(Some(_)) => entries += 1,
+                Ok(None) => {}
+                Err(_) => failures += 1,
+            }
+        }
+        assert_eq!(entries, 1);
         assert_eq!(failures, 1);
     }
 
     #[test]
     fn render_parse_roundtrip_all_formats() {
-        let entry = ListingEntry {
-            name: "backup.tar.gz".into(),
+        let entry = ListingEntryRef {
+            name: "backup.tar.gz",
             is_dir: false,
             size: Some(123_456),
             permissions: Some(Permissions::public_file()),
-            owner: Some("ftp".into()),
-            mtime: Some("Jun 18  2015".into()),
-            is_symlink: false,
+            owner: Some("ftp"),
+            mtime: Some("Jun 18  2015"),
         };
         for fmt in [ListingFormat::Unix, ListingFormat::Dos, ListingFormat::Eplf, ListingFormat::Mlsd]
         {
-            let line = render_line(&entry, fmt);
-            let back = parse_line(&line, fmt).unwrap().unwrap();
+            let mut line = String::new();
+            render_line_into(entry, fmt, &mut line);
+            let back = parse_line_ref(&line, fmt).unwrap().unwrap();
             assert_eq!(back.name, entry.name, "{fmt:?}: {line}");
             assert_eq!(back.size, entry.size, "{fmt:?}: {line}");
             assert!(!back.is_dir);
@@ -904,21 +796,57 @@ mod tests {
     }
 
     #[test]
-    fn borrowed_parse_matches_owned_parse() {
-        let lines = [
-            "drwxr-xr-x   2 ftp      ftp          4096 Jun 18  2015 pub",
-            "-rw-r--r--   1 user     user      1048576 Jun 18 09:43 photo.jpg",
-            "lrwxrwxrwx   1 root     root           11 Jan  1  2014 www -> /var/www",
-            "06-18-15  09:43AM       <DIR>          aspnet_client",
-            "06-18-15  09:43AM              1043901 products.mdb",
-            "+i8388621.48594,m825718503,r,s280,\tdjb.html",
-            "type=dir;modify=20150618094300;perm=el; pub",
+    fn parse_line_ref_reads_every_field() {
+        use MtimeRef::{Dos, Raw, Unix};
+        let unix = |month, day, tail| Unix { month, day, tail };
+        let dos = Dos { date: "06-18-15", time: "09:43AM" };
+        // (line, name, is_dir, size, mode, owner, mtime, is_symlink, readability)
+        let cases = [
+            (
+                "drwxr-xr-x   2 ftp      ftp          4096 Jun 18  2015 pub",
+                "pub", true, Some(4096), Some(0o755), Some("ftp"),
+                unix("Jun", "18", "2015"), false, Readability::Readable,
+            ),
+            (
+                "-rw-r--r--   1 user     user      1048576 Jun 18 09:43 photo.jpg",
+                "photo.jpg", false, Some(1_048_576), Some(0o644), Some("user"),
+                unix("Jun", "18", "09:43"), false, Readability::Readable,
+            ),
+            (
+                "lrwxrwxrwx   1 root     root           11 Jan  1  2014 www -> /var/www",
+                "www", false, Some(11), Some(0o777), Some("root"),
+                unix("Jan", "1", "2014"), true, Readability::Readable,
+            ),
+            (
+                "06-18-15  09:43AM       <DIR>          aspnet_client",
+                "aspnet_client", true, None, None, None, dos, false, Readability::Unknown,
+            ),
+            (
+                "06-18-15  09:43AM              1043901 products.mdb",
+                "products.mdb", false, Some(1_043_901), None, None, dos, false,
+                Readability::Unknown,
+            ),
+            (
+                "+i8388621.48594,m825718503,r,s280,\tdjb.html",
+                "djb.html", false, Some(280), None, None, Raw("825718503"), false,
+                Readability::Unknown,
+            ),
+            (
+                "type=dir;modify=20150618094300;perm=el; pub",
+                "pub", true, None, None, None, Raw("20150618094300"), false,
+                Readability::Unknown,
+            ),
         ];
-        for line in lines {
-            let owned = parse_line(line, ListingFormat::Unix).unwrap().unwrap();
-            let borrowed = parse_line_ref(line, ListingFormat::Unix).unwrap().unwrap();
-            assert_eq!(borrowed.to_owned_entry(), owned, "{line}");
-            assert_eq!(borrowed.readability(), owned.readability(), "{line}");
+        for (line, name, is_dir, size, mode, owner, mtime, is_symlink, readability) in cases {
+            let e = parse_line_ref(line, ListingFormat::Unix).unwrap().unwrap();
+            assert_eq!(e.name, name, "{line}");
+            assert_eq!(e.is_dir, is_dir, "{line}");
+            assert_eq!(e.size, size, "{line}");
+            assert_eq!(e.permissions, mode.map(Permissions::from_mode), "{line}");
+            assert_eq!(e.owner, owner, "{line}");
+            assert_eq!(e.mtime, mtime, "{line}");
+            assert_eq!(e.is_symlink, is_symlink, "{line}");
+            assert_eq!(e.readability(), readability, "{line}");
         }
         assert!(parse_line_ref("total 52", ListingFormat::Unix).unwrap().is_none());
         assert!(parse_line_ref("garbage %%%", ListingFormat::Unix).is_err());
@@ -1160,19 +1088,19 @@ mod tests {
 
     #[test]
     fn render_parse_roundtrip_dir() {
-        let entry = ListingEntry {
-            name: "pub".into(),
+        let entry = ListingEntryRef {
+            name: "pub",
             is_dir: true,
             size: None,
             permissions: Some(Permissions::public_dir()),
-            owner: Some("ftp".into()),
+            owner: Some("ftp"),
             mtime: None,
-            is_symlink: false,
         };
         for fmt in [ListingFormat::Unix, ListingFormat::Dos, ListingFormat::Eplf, ListingFormat::Mlsd]
         {
-            let line = render_line(&entry, fmt);
-            let back = parse_line(&line, fmt).unwrap().unwrap();
+            let mut line = String::new();
+            render_line_into(entry, fmt, &mut line);
+            let back = parse_line_ref(&line, fmt).unwrap().unwrap();
             assert!(back.is_dir, "{fmt:?}: {line}");
             assert_eq!(back.name, "pub");
         }

@@ -1,5 +1,7 @@
-//! FTP server replies: three-digit codes and multiline reply assembly.
+//! FTP server replies: three-digit codes, multiline reply assembly and
+//! the RFC 959 wire framing.
 
+use crate::decimal;
 use crate::error::ProtoError;
 use std::fmt;
 
@@ -93,93 +95,34 @@ impl From<u16> for ReplyCode {
     }
 }
 
-/// A complete server reply: a code plus one or more lines of text.
+/// Appends one reply in RFC 959 wire framing to `out`: `ddd text` for a
+/// single line; otherwise `ddd-first`, then ` middle` lines, then
+/// `ddd last`. Every line ends in CRLF; empty `lines` write nothing.
 ///
-/// Multiline replies follow RFC 959: the first line is `ddd-text`, the
-/// terminating line is `ddd text` with the *same* code. Lines in between
-/// may be arbitrary (some servers even start them with other digits),
-/// which [`ReplyParser`] tolerates.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Reply {
-    code: ReplyCode,
-    lines: Vec<String>,
-}
-
-impl Reply {
-    /// Builds a single-line reply.
-    pub fn new(code: impl Into<ReplyCode>, text: impl Into<String>) -> Self {
-        Reply { code: code.into(), lines: vec![text.into()] }
-    }
-
-    /// Builds a multiline reply from the given lines.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lines` is empty; a reply always has at least one line.
-    pub fn multiline(code: impl Into<ReplyCode>, lines: Vec<String>) -> Self {
-        assert!(!lines.is_empty(), "a reply must have at least one line");
-        Reply { code: code.into(), lines }
-    }
-
-    /// Parses a single `ddd text` or `ddd-text` line as a complete reply.
-    ///
-    /// Use [`ReplyParser`] when the input may span multiple lines.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProtoError::BadReplyCode`] if the line does not begin
-    /// with three ASCII digits.
-    pub fn parse_line(line: &str) -> Result<Self, ProtoError> {
-        let line = line.trim_end_matches(['\r', '\n']);
-        let (code, _sep, text) = split_reply_line(line).ok_or_else(|| ProtoError::bad_reply(line))?;
-        Ok(Reply::new(code, text))
-    }
-
-    /// The reply code.
-    pub fn code(&self) -> ReplyCode {
-        self.code
-    }
-
-    /// All text lines (without codes or CRLF).
-    pub fn lines(&self) -> &[String] {
-        &self.lines
-    }
-
-    /// The first line of text — for banners and quick matching.
-    pub fn text(&self) -> &str {
-        &self.lines[0]
-    }
-
-    /// Concatenated text of all lines joined with `\n`.
-    pub fn full_text(&self) -> String {
-        self.lines.join("\n")
-    }
-
-    /// Serializes to wire format (CRLF line endings, RFC 959 multiline
-    /// framing).
-    pub fn to_wire(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        if self.lines.len() == 1 {
-            let _ = write!(out, "{} {}\r\n", self.code, self.lines[0]);
+/// # Example
+///
+/// ```
+/// use ftp_proto::reply::reply;
+///
+/// let mut wire = String::new();
+/// reply(&mut wire, 250, ["Okay"]);
+/// reply(&mut wire, 211, ["Features:", "MDTM", "End"]);
+/// assert_eq!(wire, "250 Okay\r\n211-Features:\r\n MDTM\r\n211 End\r\n");
+/// ```
+pub fn reply<'a>(out: &mut String, code: u16, lines: impl IntoIterator<Item = &'a str>) {
+    let mut lines = lines.into_iter().peekable();
+    let mut first = true;
+    while let Some(line) = lines.next() {
+        let last = lines.peek().is_none();
+        if first || last {
+            decimal::push_u64(out, u64::from(code), 3, '0');
+            out.push(if last { ' ' } else { '-' });
         } else {
-            for (i, l) in self.lines.iter().enumerate() {
-                if i + 1 == self.lines.len() {
-                    let _ = write!(out, "{} {}\r\n", self.code, l);
-                } else if i == 0 {
-                    let _ = write!(out, "{}-{}\r\n", self.code, l);
-                } else {
-                    let _ = write!(out, " {l}\r\n");
-                }
-            }
+            out.push(' ');
         }
-        out
-    }
-}
-
-impl fmt::Display for Reply {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} {}", self.code, self.lines[0])
+        out.push_str(line);
+        out.push_str("\r\n");
+        first = false;
     }
 }
 
@@ -199,108 +142,13 @@ fn split_reply_line(line: &str) -> Option<(u16, char, &str)> {
     }
 }
 
-/// Incremental assembler for (possibly multiline) replies.
-///
-/// Feed complete lines via [`ReplyParser::push_line`]; a `Some(Reply)`
-/// return means a full reply is available. The parser implements the
-/// real-world tolerance the paper's enumerator needed: continuation lines
-/// need not repeat the code, inner lines may start with digits, and a
-/// terminator is any line starting with the opening code followed by a
-/// space.
-///
-/// # Example
-///
-/// ```
-/// use ftp_proto::reply::ReplyParser;
-///
-/// let mut p = ReplyParser::new();
-/// assert!(p.push_line("230-Welcome to example FTP").unwrap().is_none());
-/// assert!(p.push_line("Mirror of ftp.example.org").unwrap().is_none());
-/// let reply = p.push_line("230 Login successful").unwrap().unwrap();
-/// assert_eq!(reply.code().value(), 230);
-/// assert_eq!(reply.lines().len(), 3);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct ReplyParser {
-    pending: Option<(u16, Vec<String>)>,
-}
-
-impl ReplyParser {
-    /// Creates an idle parser.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// True if a multiline reply is partially assembled.
-    pub fn in_progress(&self) -> bool {
-        self.pending.is_some()
-    }
-
-    /// Feeds one line (trailing CR/LF tolerated).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProtoError::BadReplyCode`] only when a *fresh* reply line
-    /// lacks a leading code; continuation lines are accepted verbatim.
-    pub fn push_line(&mut self, line: &str) -> Result<Option<Reply>, ProtoError> {
-        let line = line.trim_end_matches(['\r', '\n']);
-        match &mut self.pending {
-            None => {
-                let (code, sep, text) =
-                    split_reply_line(line).ok_or_else(|| ProtoError::bad_reply(line))?;
-                if sep == '-' {
-                    self.pending = Some((code, vec![text.to_owned()]));
-                    Ok(None)
-                } else {
-                    Ok(Some(Reply::new(code, text)))
-                }
-            }
-            Some((open_code, lines)) => {
-                // A terminator must be a *strict* `ddd<SP>` (or bare `ddd`)
-                // line — the jammed-text tolerance applied to fresh replies
-                // would otherwise misread inner lines like "211x ..." as
-                // terminators.
-                let strict_sep = line.len() == 3 || line.as_bytes().get(3) == Some(&b' ');
-                if let (true, Some((code, ' ', text))) = (strict_sep, split_reply_line(line)) {
-                    if code == *open_code {
-                        lines.push(text.to_owned());
-                        let (code, lines) = self.pending.take().expect("pending reply present");
-                        return Ok(Some(Reply::multiline(code, lines)));
-                    }
-                }
-                // Continuation line: strip the conventional leading space.
-                let text = line.strip_prefix(' ').unwrap_or(line);
-                lines.push(text.to_owned());
-                Ok(None)
-            }
-        }
-    }
-
-    /// Signals end-of-stream.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProtoError::TruncatedReply`] if a multiline reply was
-    /// still being assembled — the server hung up mid-reply, which the
-    /// enumerator treats as refusal of service.
-    pub fn finish(&mut self) -> Result<(), ProtoError> {
-        if self.pending.take().is_some() {
-            Err(ProtoError::TruncatedReply)
-        } else {
-            Ok(())
-        }
-    }
-}
-
 /// A borrowed view of one complete reply: the code plus a slice of the
 /// assembled text (lines joined with `\n`).
 ///
-/// This is [`Reply`]'s zero-allocation twin. The enumerator's per-reply
-/// hot path decodes every reply through [`ReplyBuf`] into one of these;
-/// the owned [`Reply`] survives as the wire-rendering / test-facing
-/// wrapper (see DESIGN.md §8). Lifetime is tied to the [`ReplyBuf`] (or
-/// other buffer) the text lives in, which stays valid until the next
-/// `push_line`.
+/// Every reply the enumerator and the scripted clients read is decoded
+/// through [`ReplyBuf`] into one of these (see DESIGN.md §8). Lifetime
+/// is tied to the [`ReplyBuf`] (or other buffer) the text lives in,
+/// which stays valid until the next `push_line`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplyRef<'a> {
     code: ReplyCode,
@@ -327,8 +175,7 @@ impl<'a> ReplyRef<'a> {
         }
     }
 
-    /// All lines joined with `\n` — the borrowed analogue of
-    /// [`Reply::full_text`], without the join allocation.
+    /// All lines joined with `\n`.
     pub fn full_text(self) -> &'a str {
         self.text
     }
@@ -348,23 +195,31 @@ impl<'a> ReplyRef<'a> {
     pub fn has_multiple_lines(self) -> bool {
         self.line_count > 1
     }
-
-    /// Copies into an owned [`Reply`].
-    pub fn to_reply(self) -> Reply {
-        Reply { code: self.code, lines: self.lines().map(str::to_owned).collect() }
-    }
 }
 
-/// Incremental reply assembler with a reusable text buffer — the
-/// zero-allocation counterpart of [`ReplyParser`].
+/// Incremental assembler for (possibly multiline) replies, with a
+/// reusable text buffer.
 ///
 /// Feed complete lines via [`ReplyBuf::push_line`]; a `Some(ReplyRef)`
 /// return borrows the assembled text straight out of the buffer, which
-/// is recycled for the next reply instead of reallocated. Assembly
-/// tolerances are identical to [`ReplyParser`]: continuation lines need
-/// not repeat the code, inner lines may start with digits, and a
-/// terminator is a strict `ddd<SP>` (or bare `ddd`) line repeating the
-/// opening code.
+/// is recycled for the next reply instead of reallocated. The assembler
+/// implements the real-world tolerance the paper's enumerator needed:
+/// continuation lines need not repeat the code, inner lines may start
+/// with digits, and a terminator is a strict `ddd<SP>` (or bare `ddd`)
+/// line repeating the opening code.
+///
+/// # Example
+///
+/// ```
+/// use ftp_proto::ReplyBuf;
+///
+/// let mut p = ReplyBuf::new();
+/// assert!(p.push_line("230-Welcome to example FTP").unwrap().is_none());
+/// assert!(p.push_line("Mirror of ftp.example.org").unwrap().is_none());
+/// let reply = p.push_line("230 Login successful").unwrap().unwrap();
+/// assert_eq!(reply.code().value(), 230);
+/// assert_eq!(reply.line_count(), 3);
+/// ```
 #[derive(Debug, Clone, Default)]
 pub struct ReplyBuf {
     code: u16,
@@ -412,9 +267,10 @@ impl ReplyBuf {
                 line_count: 1,
             }));
         }
-        // Same strict-terminator rule as ReplyParser: `ddd<SP>` or a
-        // bare `ddd` repeating the opening code ends the reply; the
-        // jammed-text tolerance stays reserved for fresh replies.
+        // A terminator must be a *strict* `ddd<SP>` (or bare `ddd`) line
+        // repeating the opening code — the jammed-text tolerance applied
+        // to fresh replies would otherwise misread inner lines like
+        // "211x ..." as terminators.
         let strict_sep = line.len() == 3 || line.as_bytes().get(3) == Some(&b' ');
         if strict_sep {
             if let Some((code, ' ', text)) = split_reply_line(line) {
@@ -455,9 +311,53 @@ impl ReplyBuf {
     }
 }
 
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Feeds `lines` through a fresh [`ReplyBuf`] and returns the first
+    /// completed reply as `(code, lines joined with \n)`.
+    fn assemble(lines: &[&str]) -> Option<(u16, String)> {
+        let mut b = ReplyBuf::new();
+        for line in lines {
+            if let Some(r) = b.push_line(line).unwrap() {
+                return Some((r.code().value(), r.full_text().to_owned()));
+            }
+        }
+        None
+    }
+
+    /// A minimal line-vector reply assembler with the tolerance rules
+    /// spelled out one by one — the reference [`ReplyBuf`] must match.
+    #[derive(Default)]
+    struct ReferenceAssembler {
+        pending: Option<(u16, Vec<String>)>,
+    }
+
+    impl ReferenceAssembler {
+        fn push_line(&mut self, line: &str) -> Result<Option<(u16, Vec<String>)>, ProtoError> {
+            let line = line.trim_end_matches(['\r', '\n']);
+            let Some((open_code, lines)) = &mut self.pending else {
+                let (code, sep, text) =
+                    split_reply_line(line).ok_or_else(|| ProtoError::bad_reply(line))?;
+                if sep == '-' {
+                    self.pending = Some((code, vec![text.to_owned()]));
+                    return Ok(None);
+                }
+                return Ok(Some((code, vec![text.to_owned()])));
+            };
+            let strict_sep = line.len() == 3 || line.as_bytes().get(3) == Some(&b' ');
+            if let (true, Some((code, ' ', text))) = (strict_sep, split_reply_line(line)) {
+                if code == *open_code {
+                    lines.push(text.to_owned());
+                    return Ok(self.pending.take());
+                }
+            }
+            lines.push(line.strip_prefix(' ').unwrap_or(line).to_owned());
+            Ok(None)
+        }
+    }
 
     #[test]
     fn code_classes() {
@@ -470,58 +370,55 @@ mod tests {
 
     #[test]
     fn single_line_parse() {
-        let r = Reply::parse_line("220 ProFTPD 1.3.5 Server ready.\r\n").unwrap();
+        let mut b = ReplyBuf::new();
+        let r = b.push_line("220 ProFTPD 1.3.5 Server ready.\r\n").unwrap().unwrap();
         assert_eq!(r.code(), ReplyCode::SERVICE_READY);
         assert_eq!(r.text(), "ProFTPD 1.3.5 Server ready.");
     }
 
     #[test]
     fn jammed_text_tolerated() {
-        let r = Reply::parse_line("220Welcome").unwrap();
-        assert_eq!(r.code().value(), 220);
-        assert_eq!(r.text(), "Welcome");
+        assert_eq!(assemble(&["220Welcome"]), Some((220, "Welcome".into())));
     }
 
     #[test]
     fn bare_code_tolerated() {
-        let r = Reply::parse_line("230").unwrap();
-        assert_eq!(r.code().value(), 230);
-        assert_eq!(r.text(), "");
+        assert_eq!(assemble(&["230"]), Some((230, String::new())));
     }
 
     #[test]
     fn garbage_rejected() {
-        assert!(Reply::parse_line("hello world").is_err());
-        assert!(Reply::parse_line("22 partial").is_err());
+        assert!(ReplyBuf::new().push_line("hello world").is_err());
+        assert!(ReplyBuf::new().push_line("22 partial").is_err());
     }
 
     #[test]
     fn multiline_assembly() {
-        let mut p = ReplyParser::new();
+        let mut p = ReplyBuf::new();
         assert_eq!(p.push_line("220-Welcome").unwrap(), None);
         assert!(p.in_progress());
         assert_eq!(p.push_line(" to the machine").unwrap(), None);
         let r = p.push_line("220 Ready").unwrap().unwrap();
-        assert_eq!(r.lines().len(), 3);
-        assert_eq!(r.lines()[1], "to the machine");
+        assert_eq!(r.line_count(), 3);
+        assert_eq!(r.lines().nth(1), Some("to the machine"));
         assert!(!p.in_progress());
     }
 
     #[test]
     fn multiline_inner_lines_with_other_codes() {
         // Some servers embed digit-leading lines mid-reply.
-        let mut p = ReplyParser::new();
+        let mut p = ReplyBuf::new();
         p.push_line("211-Features:").unwrap();
         assert_eq!(p.push_line("211x not terminator").unwrap(), None);
         assert_eq!(p.push_line("500 different code is continuation").unwrap(), None);
         let r = p.push_line("211 End").unwrap().unwrap();
         assert_eq!(r.code().value(), 211);
-        assert_eq!(r.lines().len(), 4);
+        assert_eq!(r.line_count(), 4);
     }
 
     #[test]
     fn truncated_multiline_detected() {
-        let mut p = ReplyParser::new();
+        let mut p = ReplyBuf::new();
         p.push_line("220-Hello").unwrap();
         assert_eq!(p.finish(), Err(ProtoError::TruncatedReply));
         // finish() clears state.
@@ -530,35 +427,27 @@ mod tests {
 
     #[test]
     fn wire_roundtrip_single() {
-        let r = Reply::new(250u16, "Okay");
-        assert_eq!(r.to_wire(), "250 Okay\r\n");
-        let mut p = ReplyParser::new();
-        let back = p.push_line(r.to_wire().trim_end()).unwrap().unwrap();
-        assert_eq!(back, r);
+        let mut wire = String::new();
+        reply(&mut wire, 250, ["Okay"]);
+        assert_eq!(wire, "250 Okay\r\n");
+        assert_eq!(assemble(&[wire.trim_end()]), Some((250, "Okay".into())));
     }
 
     #[test]
     fn wire_roundtrip_multiline() {
-        let r = Reply::multiline(230u16, vec!["a".into(), "b".into(), "c".into()]);
-        let wire = r.to_wire();
-        let mut p = ReplyParser::new();
-        let mut out = None;
-        for line in wire.lines() {
-            out = p.push_line(line).unwrap();
-        }
-        assert_eq!(out.unwrap(), r);
+        let mut wire = String::new();
+        reply(&mut wire, 230, ["a", "b", "c"]);
+        assert_eq!(wire, "230-a\r\n b\r\n230 c\r\n");
+        let lines: Vec<&str> = wire.lines().collect();
+        assert_eq!(assemble(&lines), Some((230, "a\nb\nc".into())));
     }
 
     #[test]
-    #[should_panic(expected = "at least one line")]
-    fn multiline_requires_lines() {
-        let _ = Reply::multiline(230u16, vec![]);
-    }
-
-    #[test]
-    fn display_shows_code_and_first_line() {
-        let r = Reply::new(230u16, "Login successful");
-        assert_eq!(r.to_string(), "230 Login successful");
+    fn reply_appends_and_pads_the_code() {
+        let mut wire = String::from("x");
+        reply(&mut wire, 7, ["low"]);
+        reply(&mut wire, 214, std::iter::empty());
+        assert_eq!(wire, "x007 low\r\n");
     }
 
     #[test]
@@ -602,18 +491,18 @@ mod tests {
             &["230-Welcome", " indented", "plain", "230 Done"],
         ];
         for stream in streams {
-            let mut owned = ReplyParser::new();
+            let mut reference = ReferenceAssembler::default();
             let mut borrowed = ReplyBuf::new();
             for line in *stream {
-                let a = owned.push_line(line).unwrap();
+                let a = reference.push_line(line).unwrap();
                 let b = borrowed.push_line(line).unwrap();
                 match (a, b) {
                     (None, None) => {}
-                    (Some(a), Some(b)) => {
-                        assert_eq!(a.code(), b.code());
-                        assert_eq!(a.full_text(), b.full_text());
-                        assert_eq!(a.lines().len(), b.line_count());
-                        assert_eq!(b.to_reply(), a);
+                    (Some((code, lines)), Some(b)) => {
+                        assert_eq!(b.code().value(), code);
+                        assert_eq!(b.full_text(), lines.join("\n"));
+                        assert_eq!(b.line_count(), lines.len());
+                        assert!(b.lines().eq(lines.iter().map(String::as_str)));
                     }
                     (a, b) => panic!("parser divergence on {line:?}: {a:?} vs {b:?}"),
                 }

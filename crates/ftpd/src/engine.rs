@@ -4,9 +4,10 @@
 use crate::profile::{AnonPolicy, ServerProfile, UploadQuirk, UserReplyStyle};
 use ftp_proto::command::{AuthMechanism, Command};
 use ftp_proto::listing::{self, ListingEntryRef};
-use ftp_proto::{FtpPath, HostPort, LineCodec, Reply};
+use ftp_proto::reply::reply;
+use ftp_proto::{FtpPath, HostPort, LineCodec};
 use netsim::{ConnId, ConnectError, Ctx, Endpoint};
-use simvfs::{FileMeta, NodeRef, Owner, Vfs};
+use simvfs::{FileAttrs, NodeRef, Owner, Vfs};
 use netsim::fasthash::FastMap;
 use std::fmt::{self, Write as _};
 use std::net::Ipv4Addr;
@@ -136,14 +137,14 @@ pub struct FtpServerEngine {
     /// Welcome banner, pre-rendered to wire bytes at construction —
     /// sent verbatim to every new control session instead of re-cloning
     /// and re-splitting the profile's banner per connection.
-    banner_wire: Vec<u8>,
+    banner_wire: String,
     /// `211` FEAT reply wire bytes; empty when the profile advertises no
     /// features (the 502 path).
-    feat_wire: Vec<u8>,
+    feat_wire: String,
     /// `214` HELP reply wire bytes; empty when the profile has none.
-    help_wire: Vec<u8>,
+    help_wire: String,
     /// `211` STAT reply wire bytes (fixed text).
-    stat_wire: Vec<u8>,
+    stat_wire: String,
     /// Scratch for rendering one `LIST` body: every listing is
     /// rendered into it and sent, so the engine keeps only its largest
     /// body's capacity, not every body it served.
@@ -162,36 +163,27 @@ impl FtpServerEngine {
     /// Creates an engine for the host at `ip` publishing `vfs` with the
     /// given behavior profile.
     pub fn new(ip: Ipv4Addr, profile: ServerProfile, vfs: Vfs) -> Self {
-        // Render the canned wire blocks straight from borrowed lines —
-        // same bytes as `Reply::multiline(..).to_wire()` without the
-        // intermediate `Vec<String>` per host.
-        let banner_wire = if profile.banner.contains('\n') {
-            // Multiline welcome banner (common on mirrors and corporate
-            // servers; the enumerator's hardened parser must cope).
-            let count = profile.banner.lines().count();
-            Self::render_wire(220, count, &mut profile.banner.lines())
+        // Render the canned wire blocks once per engine. A multiline
+        // welcome banner is common on mirrors and corporate servers; the
+        // enumerator's hardened parser must cope.
+        let mut banner_wire = String::new();
+        if profile.banner.contains('\n') {
+            reply(&mut banner_wire, 220, profile.banner.lines());
         } else {
-            Self::render_wire(220, 1, &mut std::iter::once(profile.banner.as_str()))
-        };
-        let feat_wire = if profile.feat_lines.is_empty() {
-            Vec::new()
-        } else {
-            let count = profile.feat_lines.len() + 2;
-            let mut lines = std::iter::once("Features:")
-                .chain(profile.feat_lines.iter().map(String::as_str))
-                .chain(std::iter::once("End"));
-            Self::render_wire(211, count, &mut lines)
-        };
-        let help_wire = if profile.help_lines.is_empty() {
-            Vec::new()
-        } else {
+            reply(&mut banner_wire, 220, [profile.banner.as_str()]);
+        }
+        let mut feat_wire = String::new();
+        if !profile.feat_lines.is_empty() {
+            let features = profile.feat_lines.iter().map(String::as_str);
+            reply(&mut feat_wire, 211, std::iter::once("Features:").chain(features).chain(["End"]));
+        }
+        let mut help_wire = String::new();
+        if !profile.help_lines.is_empty() {
             let extra = if profile.help_lines.len() == 1 { Some("Help OK.") } else { None };
-            let count = profile.help_lines.len() + extra.iter().count();
-            let mut lines = profile.help_lines.iter().map(String::as_str).chain(extra);
-            Self::render_wire(214, count, &mut lines)
-        };
-        let stat_wire =
-            Self::render_wire(211, 2, &mut ["FTP server status:", "End of status"].into_iter());
+            reply(&mut help_wire, 214, profile.help_lines.iter().map(String::as_str).chain(extra));
+        }
+        let mut stat_wire = String::new();
+        reply(&mut stat_wire, 211, ["FTP server status:", "End of status"]);
         FtpServerEngine {
             ip,
             profile,
@@ -228,10 +220,10 @@ impl FtpServerEngine {
         self.stats
     }
 
-    /// Sends a single-line reply, rendered on the stack — the per-reply
-    /// `Reply` + wire-`String` allocations of the old path dominated the
-    /// engine's profile. Replies longer than [`REPLY_STACK`] (rare: only
-    /// pathological profile text) fall back to the heap renderer.
+    /// Sends a single-line reply, rendered on the stack — a per-reply
+    /// heap render dominated the engine's profile. Replies longer than
+    /// [`REPLY_STACK`] (rare: only pathological profile text) fall back
+    /// to the heap.
     fn reply(ctx: &mut Ctx<'_>, conn: ConnId, code: u16, text: &str) {
         Self::reply_fmt(ctx, conn, code, format_args!("{text}"));
     }
@@ -247,28 +239,10 @@ impl FtpServerEngine {
         } else {
             // Overflowed the stack buffer: render on the heap. Same
             // bytes, just slower.
-            let r = Reply::new(code, args.to_string());
-            ctx.send(conn, r.to_wire().as_bytes());
+            let mut out = String::new();
+            let _ = write!(out, "{code:03} {args}\r\n");
+            ctx.send(conn, out.as_bytes());
         }
-    }
-
-    /// Renders a reply's wire bytes from `count` borrowed lines: byte
-    /// for byte what `Reply::multiline(code, lines).to_wire()` produces
-    /// (`ddd-first`, ` middle`, `ddd last`; single-line `ddd text`),
-    /// with one output allocation instead of a line `Vec<String>`.
-    fn render_wire(code: u16, count: usize, lines: &mut dyn Iterator<Item = &str>) -> Vec<u8> {
-        use fmt::Write as _;
-        let mut out = String::new();
-        for (i, l) in lines.enumerate() {
-            if count == 1 || i + 1 == count {
-                let _ = write!(out, "{code:03} {l}\r\n");
-            } else if i == 0 {
-                let _ = write!(out, "{code:03}-{l}\r\n");
-            } else {
-                let _ = write!(out, " {l}\r\n");
-            }
-        }
-        out.into_bytes()
     }
 
     fn resolve(&self, session: &Session, arg: &str) -> Option<FtpPath> {
@@ -425,16 +399,14 @@ impl FtpServerEngine {
             return;
         };
         self.data_conns.remove(&data_conn);
-        let mut meta = FileMeta::public(bytes.len() as u64).with_owner(Owner::Anonymous);
-        if let Ok(text) = String::from_utf8(bytes) {
-            meta = meta.with_content(text);
+        let mut attrs = FileAttrs::public(bytes.len() as u64).with_owner(Owner::Anonymous);
+        if let Ok(text) = std::str::from_utf8(&bytes) {
+            attrs = attrs.with_content(text);
         }
         let stored = match self.profile.upload_quirk {
-            UploadQuirk::Overwrite => self.vfs.add_file(path.as_str(), meta).map(|_| ()),
-            UploadQuirk::UniqueSuffix => {
-                self.vfs.store_unique(path.as_str(), meta).map(|_| ())
-            }
-            UploadQuirk::NeedsApproval => self.vfs.add_file(path.as_str(), meta).map(|_| ()),
+            UploadQuirk::Overwrite => self.vfs.add_file(path.as_str(), attrs),
+            UploadQuirk::UniqueSuffix => self.vfs.store_unique(path.as_str(), attrs).map(|_| ()),
+            UploadQuirk::NeedsApproval => self.vfs.add_file(path.as_str(), attrs),
         };
         match stored {
             Ok(()) => {
@@ -522,21 +494,21 @@ impl FtpServerEngine {
                 if self.feat_wire.is_empty() {
                     Self::reply(ctx, conn, 502, "Command not implemented.");
                 } else {
-                    ctx.send(conn, &self.feat_wire);
+                    ctx.send(conn, self.feat_wire.as_bytes());
                 }
             }
             Command::Help(_) => {
                 if self.help_wire.is_empty() {
                     Self::reply(ctx, conn, 502, "Command not implemented.");
                 } else {
-                    ctx.send(conn, &self.help_wire);
+                    ctx.send(conn, self.help_wire.as_bytes());
                 }
             }
             Command::Site(_) => match &self.profile.site_reply {
                 Some(text) => Self::reply(ctx, conn, 200, text),
                 None => Self::reply(ctx, conn, 502, "SITE command not implemented."),
             },
-            Command::Stat(_) => ctx.send(conn, &self.stat_wire),
+            Command::Stat(_) => ctx.send(conn, self.stat_wire.as_bytes()),
             Command::Auth(mech) => self.cmd_auth(ctx, conn, mech),
             Command::Pbsz(_) => Self::reply(ctx, conn, 200, "PBSZ=0"),
             Command::Prot(_) => Self::reply(ctx, conn, 200, "Protection level set."),
@@ -905,7 +877,7 @@ impl Endpoint for FtpServerEngine {
         let peer_ip = ctx.peer_of(conn).map(|(ip, _)| ip).unwrap_or(Ipv4Addr::UNSPECIFIED);
         self.sessions.insert(conn, Session::new(peer_ip));
         self.stats.sessions += 1;
-        ctx.send(conn, &self.banner_wire);
+        ctx.send(conn, self.banner_wire.as_bytes());
     }
 
     fn on_outbound(&mut self, ctx: &mut Ctx<'_>, token: u64, result: Result<ConnId, ConnectError>) {
@@ -1010,6 +982,81 @@ impl FtpServerEngine {
         match line.parse::<Command>() {
             Ok(cmd) => self.handle_command(ctx, conn, cmd),
             Err(_) => Self::reply(ctx, conn, 500, "Syntax error, command unrecognized."),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::implementations;
+
+    /// RFC 959 framing spelled out: `ddd text` for one line, else
+    /// `ddd-first`, ` middle` lines and `ddd last`, each CRLF-terminated.
+    fn rfc959(code: u16, lines: &[&str]) -> Vec<u8> {
+        let mut out = String::new();
+        for (i, line) in lines.iter().enumerate() {
+            let lead = if i + 1 == lines.len() {
+                format!("{code} ")
+            } else if i == 0 {
+                format!("{code}-")
+            } else {
+                " ".to_owned()
+            };
+            out.push_str(&lead);
+            out.push_str(line);
+            out.push_str("\r\n");
+        }
+        out.into_bytes()
+    }
+
+    fn bytes(wire: &impl AsRef<[u8]>) -> &[u8] {
+        wire.as_ref()
+    }
+
+    #[test]
+    fn canned_replies_use_rfc959_framing() {
+        let mut profiles = vec![
+            implementations::proftpd("1.3.5"),
+            implementations::pure_ftpd(),
+            implementations::vsftpd("3.0.2"),
+            implementations::filezilla("0.9.41"),
+            implementations::servu("15.1"),
+            implementations::iis(),
+            implementations::embedded("FRITZ!Box with FTP access"),
+            implementations::ramnit(),
+        ];
+        // A multiline banner and a one-line HELP ("Help OK." appended).
+        let mut mirror = implementations::vsftpd("2.3.4");
+        mirror.banner = "Welcome to the mirror\nftp.example.org\n(vsFTPd 2.3.4)".to_owned();
+        mirror.help_lines = vec!["USER PASS QUIT".to_owned()];
+        profiles.push(mirror);
+        for profile in profiles {
+            let banner: Vec<&str> = if profile.banner.contains('\n') {
+                profile.banner.lines().collect()
+            } else {
+                vec![profile.banner.as_str()]
+            };
+            let mut feat = vec!["Features:"];
+            feat.extend(profile.feat_lines.iter().map(String::as_str));
+            feat.push("End");
+            let mut help: Vec<&str> = profile.help_lines.iter().map(String::as_str).collect();
+            if help.len() == 1 {
+                help.push("Help OK.");
+            }
+            let want_feat =
+                if profile.feat_lines.is_empty() { Vec::new() } else { rfc959(211, &feat) };
+            let want_help = rfc959(214, &help);
+            let want_banner = rfc959(220, &banner);
+            let engine =
+                FtpServerEngine::new(Ipv4Addr::new(10, 0, 0, 1), profile.clone(), Vfs::new());
+            assert_eq!(bytes(&engine.banner_wire), want_banner, "{}", profile.banner);
+            assert_eq!(bytes(&engine.feat_wire), want_feat, "{}", profile.banner);
+            assert_eq!(bytes(&engine.help_wire), want_help, "{}", profile.banner);
+            assert_eq!(
+                bytes(&engine.stat_wire),
+                rfc959(211, &["FTP server status:", "End of status"]),
+            );
         }
     }
 }

@@ -7,8 +7,7 @@
 //! `PORT`-bounce tester is just a list of [`Action`]s replayed against a
 //! target.
 
-use ftp_proto::reply::ReplyParser;
-use ftp_proto::{HostPort, LineCodec, Reply};
+use ftp_proto::{HostPort, LineCodec, ReplyBuf, ReplyCode, ReplyRef};
 use netsim::{ConnId, ConnectError, Ctx, Endpoint};
 use simtls::SimCertificate;
 use std::net::Ipv4Addr;
@@ -63,8 +62,9 @@ pub struct ScriptedFtpClient {
     waiting: Waiting,
     control: Option<ConnId>,
     codec: LineCodec,
-    parser: ReplyParser,
-    replies: Vec<Reply>,
+    parser: ReplyBuf,
+    /// Every completed reply: its code and its lines joined with `\n`.
+    replies: Vec<(ReplyCode, String)>,
     data_conn: Option<ConnId>,
     data_buf: Vec<u8>,
     downloads: Vec<(String, Vec<u8>)>,
@@ -87,7 +87,7 @@ impl ScriptedFtpClient {
             waiting: Waiting::Start,
             control: None,
             codec: LineCodec::new(),
-            parser: ReplyParser::default(),
+            parser: ReplyBuf::new(),
             replies: Vec::new(),
             data_conn: None,
             data_buf: Vec::new(),
@@ -101,13 +101,13 @@ impl ScriptedFtpClient {
     }
 
     /// All control-channel replies received, in order (banner first).
-    pub fn replies(&self) -> &[Reply] {
-        &self.replies
+    pub fn replies(&self) -> impl DoubleEndedIterator<Item = ReplyRef<'_>> + ExactSizeIterator {
+        self.replies.iter().map(|(code, text)| ReplyRef::new(*code, text))
     }
 
     /// Reply codes in order — convenient for assertions.
     pub fn codes(&self) -> Vec<u16> {
-        self.replies.iter().map(|r| r.code().value()).collect()
+        self.replies.iter().map(|(code, _)| code.value()).collect()
     }
 
     /// Collected `(command, bytes)` pairs from `TransferGet` steps.
@@ -212,10 +212,11 @@ impl ScriptedFtpClient {
         }
     }
 
-    fn on_reply(&mut self, ctx: &mut Ctx<'_>, reply: Reply) {
-        let code = reply.code().value();
-        let preliminary = reply.code().is_positive_preliminary();
-        self.replies.push(reply.clone());
+    /// Advances the script on the reply just recorded, whose code is
+    /// `code`.
+    fn on_reply(&mut self, ctx: &mut Ctx<'_>, code: ReplyCode) {
+        let preliminary = code.is_positive_preliminary();
+        let code = code.value();
         match self.waiting {
             Waiting::Banner => {
                 self.step(ctx);
@@ -229,7 +230,8 @@ impl ScriptedFtpClient {
             }
             Waiting::PasvReply => {
                 if code == 227 {
-                    match HostPort::parse_pasv_reply(reply.text()) {
+                    let text = self.replies().next_back().map(ReplyRef::text).unwrap_or_default();
+                    match HostPort::parse_pasv_reply(text) {
                         Ok(hp) => {
                             self.pasv_addr = Some(hp);
                             // Connect to the *real* server address; the
@@ -327,17 +329,21 @@ impl Endpoint for ScriptedFtpClient {
             return;
         }
         self.codec.extend(data);
-        while let Ok(Some(line)) = self.codec.next_line() {
+        while let Ok(Some(line)) = self.codec.next_line_str() {
             // Simulated TLS certificate line.
             if line.starts_with('\u{1}') {
                 if matches!(self.waiting, Waiting::TlsCert) {
-                    self.cert = SimCertificate::parse_server_hello(&line);
+                    self.cert = SimCertificate::parse_server_hello(line);
                     self.advance(ctx);
                 }
                 continue;
             }
-            match self.parser.push_line(&line) {
-                Ok(Some(reply)) => self.on_reply(ctx, reply),
+            match self.parser.push_line(line) {
+                Ok(Some(reply)) => {
+                    let code = reply.code();
+                    self.replies.push((code, reply.full_text().to_owned()));
+                    self.on_reply(ctx, code);
+                }
                 Ok(None) => {}
                 Err(_) => {
                     self.finish(ctx);

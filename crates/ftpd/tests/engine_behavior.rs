@@ -6,7 +6,7 @@ use ftpd::profile::{AnonPolicy, ServerProfile, UploadQuirk, UserReplyStyle};
 use ftpd::{Action, FtpServerEngine, ScriptedFtpClient};
 use netsim::{Endpoint, SimDuration, Simulator};
 use simtls::SimCertificate;
-use simvfs::{FileMeta, Vfs};
+use simvfs::{FileAttrs, Vfs};
 use std::net::Ipv4Addr;
 
 const SERVER: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
@@ -14,11 +14,11 @@ const CLIENT: Ipv4Addr = Ipv4Addr::new(10, 9, 9, 9);
 
 fn sample_vfs() -> Vfs {
     let mut v = Vfs::new();
-    v.add_file("/robots.txt", FileMeta::public(0).with_content("User-agent: *\nDisallow: /private/\n"))
+    v.add_file("/robots.txt", FileAttrs::public(0).with_content("User-agent: *\nDisallow: /private/\n"))
         .unwrap();
-    v.add_file("/pub/readme.txt", FileMeta::public(0).with_content("hello world")).unwrap();
-    v.add_file("/pub/photos/DSC_0001.JPG", FileMeta::public(2_400_000)).unwrap();
-    v.add_file("/private/secret.txt", FileMeta::private(100)).unwrap();
+    v.add_file("/pub/readme.txt", FileAttrs::public(0).with_content("hello world")).unwrap();
+    v.add_file("/pub/photos/DSC_0001.JPG", FileAttrs::public(2_400_000)).unwrap();
+    v.add_file("/private/secret.txt", FileAttrs::private(100)).unwrap();
     v.mkdir_p("/incoming").unwrap();
     v
 }
@@ -100,7 +100,7 @@ fn banner_login_and_pwd() {
     let c = client.borrow();
     assert!(c.finished());
     assert_eq!(c.codes(), vec![220, 331, 230, 257, 221]);
-    assert!(c.replies()[0].text().contains("ProFTPD"));
+    assert!(c.replies().next().unwrap().text().contains("ProFTPD"));
     assert_eq!(engine.borrow().stats().logins, 1);
 }
 
@@ -144,7 +144,7 @@ fn four_meanings_of_331_reject_variants() {
     );
     let c = client.borrow();
     assert_eq!(c.codes(), vec![220, 331, 530]);
-    assert!(c.replies()[1].text().to_lowercase().contains("encryption"));
+    assert!(c.replies().nth(1).unwrap().text().to_lowercase().contains("encryption"));
 }
 
 #[test]
@@ -290,7 +290,6 @@ fn needs_approval_quirk_blocks_download_of_upload() {
     let c = client.borrow();
     let denial = c
         .replies()
-        .iter()
         .find(|r| r.code().value() == 550 && r.text().contains("anonymous user"))
         .expect("approval denial present");
     assert_eq!(denial.text(), NEEDS_APPROVAL_TEXT);
@@ -443,8 +442,8 @@ fn feat_syst_help_site_replies() {
     let c = client.borrow();
     let codes = c.codes();
     assert_eq!(codes, vec![220, 331, 230, 215, 211, 214, 200, 221]);
-    let feat = &c.replies()[4];
-    assert!(feat.lines().len() >= 3, "FEAT is multiline: {feat:?}");
+    let feat = c.replies().nth(4).unwrap();
+    assert!(feat.line_count() >= 3, "FEAT is multiline: {feat:?}");
 }
 
 #[test]
@@ -474,8 +473,8 @@ fn cwd_and_cdup_navigation() {
     let (client, _) = run(anon_profile(), sample_vfs(), script);
     let c = client.borrow();
     assert_eq!(c.codes(), vec![220, 331, 230, 250, 257, 250, 257, 550, 221]);
-    assert!(c.replies()[4].text().contains("/pub/photos"));
-    assert!(c.replies()[6].text().contains("/pub"));
+    assert!(c.replies().nth(4).unwrap().text().contains("/pub/photos"));
+    assert!(c.replies().nth(6).unwrap().text().contains("/pub"));
 }
 
 #[test]
@@ -490,7 +489,7 @@ fn size_and_mdtm() {
     let (client, _) = run(anon_profile(), sample_vfs(), script);
     let c = client.borrow();
     assert_eq!(c.codes(), vec![220, 331, 230, 213, 213, 550, 221]);
-    assert_eq!(c.replies()[3].text(), "11"); // "hello world"
+    assert_eq!(c.replies().nth(3).unwrap().text(), "11"); // "hello world"
 }
 
 #[test]
@@ -505,7 +504,7 @@ fn unknown_command_gets_500() {
 #[test]
 fn rename_in_writable_tree() {
     let mut v = sample_vfs();
-    v.add_file("/incoming/a.txt", FileMeta::public(1)).unwrap();
+    v.add_file("/incoming/a.txt", FileAttrs::public(1)).unwrap();
     let mut script = login();
     script.extend([
         Action::Send("RNFR /incoming/a.txt".into()),

@@ -5,7 +5,7 @@ use ftpd::profile::{AnonPolicy, ServerProfile};
 use ftpd::FtpServerEngine;
 use netsim::{ConnId, ConnectError, Ctx, Endpoint, SimDuration, Simulator};
 use proptest::prelude::*;
-use simvfs::{FileMeta, Vfs};
+use simvfs::{FileAttrs, Vfs};
 use std::cell::RefCell;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
@@ -43,7 +43,7 @@ impl Endpoint for FuzzClient {
 
 fn sample_vfs() -> Vfs {
     let mut v = Vfs::new();
-    v.add_file("/pub/readme.txt", FileMeta::public(5).with_content("hello")).unwrap();
+    v.add_file("/pub/readme.txt", FileAttrs::public(5).with_content("hello")).unwrap();
     v
 }
 

@@ -61,7 +61,7 @@ impl HoneypotFarm {
             for dir in ["www", "public_html", "cgi-bin"] {
                 let _ = vfs.add_file(
                     &format!("/{dir}/index.html"),
-                    simvfs::FileMeta::public(2_048),
+                    simvfs::FileAttrs::public(2_048),
                 );
             }
             let engine = FtpServerEngine::new(ip, profile, vfs);

@@ -3,7 +3,7 @@
 
 use ftp_proto::LineCodec;
 use ftpd::FtpServerEngine;
-use netsim::{ConnId, ConnectError, Ctx, Endpoint, SimTime};
+use netsim::{ConnId, ConnectError, Ctx, Endpoint};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -55,10 +55,6 @@ impl Sensor {
         let log: SensorLog = Rc::new(RefCell::new(SensorLogInner::default()));
         (Sensor { engine, log: log.clone(), control_conns: HashMap::new() }, log)
     }
-
-    fn record_line(&mut self, at: SimTime, peer: Ipv4Addr, line: String) {
-        self.log.borrow_mut().lines.push(LogEvent { at_micros: at.as_micros(), peer, line });
-    }
 }
 
 impl Endpoint for Sensor {
@@ -77,15 +73,11 @@ impl Endpoint for Sensor {
 
     fn on_data(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, data: &[u8]) {
         if let Some((peer, codec)) = self.control_conns.get_mut(&conn) {
-            let peer = *peer;
             codec.extend(data);
-            let mut lines = Vec::new();
-            while let Ok(Some(line)) = codec.next_line() {
-                lines.push(line);
-            }
-            let now = ctx.now();
-            for line in lines {
-                self.record_line(now, peer, line);
+            let at_micros = ctx.now().as_micros();
+            let mut log = self.log.borrow_mut();
+            while let Ok(Some(line)) = codec.next_line_str() {
+                log.lines.push(LogEvent { at_micros, peer: *peer, line: line.to_owned() });
             }
         }
         self.engine.on_data(ctx, conn, data);

@@ -34,11 +34,11 @@
 //! # Example
 //!
 //! ```
-//! use simvfs::{Vfs, FileMeta, Owner};
+//! use simvfs::{FileAttrs, Vfs};
 //!
 //! let mut vfs = Vfs::new();
 //! vfs.mkdir_p("/pub/photos")?;
-//! vfs.add_file("/pub/photos/DSC_0001.JPG", FileMeta::public(2_400_000))?;
+//! vfs.add_file("/pub/photos/DSC_0001.JPG", FileAttrs::public(2_400_000))?;
 //! assert_eq!(vfs.list("/pub/photos")?.len(), 1);
 //! assert_eq!(vfs.file_count(), 1);
 //! # Ok::<(), simvfs::VfsError>(())
@@ -98,85 +98,11 @@ impl fmt::Display for Owner {
     }
 }
 
-/// Metadata for a file node — the owned *builder* form used to insert
-/// files. For the zero-allocation insert path see [`FileAttrs`]; for
-/// reading back what the tree stores see [`FileRef`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FileMeta {
-    /// Size in bytes.
-    pub size: u64,
-    /// Permission bits.
-    pub perms: Permissions,
-    /// Owner account.
-    pub owner: Owner,
-    /// Modification time as rendered in listings (`"Jun 18  2015"`).
-    pub mtime: String,
-    /// Optional small content (write probes, scripts, robots.txt).
-    pub content: Option<String>,
-}
-
-impl serde::Serialize for FileMeta {}
-impl serde::Deserialize for FileMeta {}
-
-impl FileMeta {
-    /// A world-readable (`0644`) file of the given size.
-    pub fn public(size: u64) -> Self {
-        FileMeta {
-            size,
-            perms: Permissions::public_file(),
-            owner: Owner::Ftp,
-            mtime: DEFAULT_MTIME.to_owned(),
-            content: None,
-        }
-    }
-
-    /// An owner-only (`0600`) file of the given size.
-    pub fn private(size: u64) -> Self {
-        FileMeta { perms: Permissions::private_file(), ..FileMeta::public(size) }
-    }
-
-    /// Builder-style: replaces the content (and size, to match).
-    pub fn with_content(mut self, content: impl Into<String>) -> Self {
-        let content = content.into();
-        self.size = content.len() as u64;
-        self.content = Some(content);
-        self
-    }
-
-    /// Builder-style: replaces the owner.
-    pub fn with_owner(mut self, owner: Owner) -> Self {
-        self.owner = owner;
-        self
-    }
-
-    /// Builder-style: replaces the permissions.
-    pub fn with_perms(mut self, perms: Permissions) -> Self {
-        self.perms = perms;
-        self
-    }
-
-    /// Builder-style: replaces the mtime text.
-    pub fn with_mtime(mut self, mtime: impl Into<String>) -> Self {
-        self.mtime = mtime.into();
-        self
-    }
-
-    fn as_attrs(&self) -> FileAttrs<'_> {
-        FileAttrs {
-            size: self.size,
-            perms: self.perms,
-            owner: self.owner,
-            mtime: &self.mtime,
-            content: self.content.as_deref(),
-        }
-    }
-}
-
-/// Borrowed file attributes for the hot insert path
-/// ([`Vfs::add_file_attrs`]): worldgen renders the mtime into a reused
-/// scratch buffer and passes it here by reference, so materializing a
-/// file costs no owned `String`s at all — the arena interns what it
-/// needs.
+/// Attributes of a file to insert. Every text field is borrowed:
+/// worldgen renders the mtime into a reused scratch buffer and passes it
+/// here by reference, so materializing a file costs no owned `String`s
+/// at all — the arena interns what it needs. For reading back what the
+/// tree stores see [`FileRef`].
 #[derive(Debug, Clone, Copy)]
 pub struct FileAttrs<'a> {
     /// Size in bytes.
@@ -185,52 +111,48 @@ pub struct FileAttrs<'a> {
     pub perms: Permissions,
     /// Owner account.
     pub owner: Owner,
-    /// Modification time as rendered in listings.
+    /// Modification time as rendered in listings (`"Jun 18  2015"`).
     pub mtime: &'a str,
-    /// Optional small content.
+    /// Optional small content (write probes, scripts, robots.txt).
     pub content: Option<&'a str>,
 }
 
 impl<'a> FileAttrs<'a> {
-    /// A world-readable (`0644`) file with the given size and mtime.
-    pub fn public(size: u64, mtime: &'a str) -> Self {
+    /// A world-readable (`0644`) file of the given size, owned by `ftp`,
+    /// with the default mtime.
+    pub fn public(size: u64) -> Self {
         FileAttrs {
             size,
             perms: Permissions::public_file(),
             owner: Owner::Ftp,
-            mtime,
+            mtime: DEFAULT_MTIME,
             content: None,
         }
     }
-}
 
-/// Metadata for a directory node (owned builder form; directories
-/// created implicitly use [`DirMeta::default`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DirMeta {
-    /// Permission bits (other-read governs anonymous LIST).
-    pub perms: Permissions,
-    /// Owner account.
-    pub owner: Owner,
-    /// Modification time as rendered in listings.
-    pub mtime: String,
-}
+    /// An owner-only (`0600`) file of the given size.
+    pub fn private(size: u64) -> Self {
+        FileAttrs { perms: Permissions::private_file(), ..FileAttrs::public(size) }
+    }
 
-impl serde::Serialize for DirMeta {}
-impl serde::Deserialize for DirMeta {}
+    /// Builder-style: replaces the content (and size, to match).
+    pub fn with_content(self, content: &'a str) -> Self {
+        FileAttrs { size: content.len() as u64, content: Some(content), ..self }
+    }
+
+    /// Builder-style: replaces the owner.
+    pub fn with_owner(self, owner: Owner) -> Self {
+        FileAttrs { owner, ..self }
+    }
+
+    /// Builder-style: replaces the mtime text.
+    pub fn with_mtime(self, mtime: &'a str) -> Self {
+        FileAttrs { mtime, ..self }
+    }
+}
 
 /// The mtime every implicitly-created node carries.
 const DEFAULT_MTIME: &str = "Jun 18  2015";
-
-impl Default for DirMeta {
-    fn default() -> Self {
-        DirMeta {
-            perms: Permissions::public_dir(),
-            owner: Owner::Ftp,
-            mtime: DEFAULT_MTIME.to_owned(),
-        }
-    }
-}
 
 /// Errors from [`Vfs`] operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -815,24 +737,15 @@ impl Vfs {
     }
 
     /// Adds a file, creating parent directories as needed. Overwrites an
-    /// existing file at the same path.
+    /// existing file at the same path. One descent creates missing
+    /// parents and places the file; nothing is allocated beyond
+    /// amortized arena growth.
     ///
     /// # Errors
     ///
     /// [`VfsError::NotADirectory`] if the target is an existing directory
     /// or a file blocks a parent component.
-    pub fn add_file(&mut self, path: &str, meta: FileMeta) -> Result<(), VfsError> {
-        self.add_file_attrs(path, meta.as_attrs())
-    }
-
-    /// [`Vfs::add_file`] with fully borrowed attributes — the worldgen
-    /// hot path. One descent creates missing parents and places the
-    /// file; nothing is allocated beyond amortized arena growth.
-    ///
-    /// # Errors
-    ///
-    /// As [`Vfs::add_file`].
-    pub fn add_file_attrs(&mut self, path: &str, attrs: FileAttrs<'_>) -> Result<(), VfsError> {
+    pub fn add_file(&mut self, path: &str, attrs: FileAttrs<'_>) -> Result<(), VfsError> {
         if obs::enabled() {
             obs::counter(obs::Counter::VfsOps, 1);
         }
@@ -872,7 +785,7 @@ impl Vfs {
     }
 
     /// Adds (or overwrites) the file `name` directly inside the
-    /// directory `dir` — [`Vfs::add_file_attrs`] without the per-file
+    /// directory `dir` — [`Vfs::add_file`] without the per-file
     /// path render and descent. `name` is a single component: no `/`.
     ///
     /// # Errors
@@ -949,21 +862,7 @@ impl Vfs {
     /// # Errors
     ///
     /// Propagates [`Vfs::add_file`] errors.
-    pub fn store_unique(&mut self, path: &str, meta: FileMeta) -> Result<NodeId, VfsError> {
-        self.store_unique_attrs(path, meta.as_attrs())
-    }
-
-    /// [`Vfs::store_unique`] with fully borrowed attributes; `Copy`
-    /// attrs also make repeat stores of the same upload free.
-    ///
-    /// # Errors
-    ///
-    /// As [`Vfs::store_unique`].
-    pub fn store_unique_attrs(
-        &mut self,
-        path: &str,
-        attrs: FileAttrs<'_>,
-    ) -> Result<NodeId, VfsError> {
+    pub fn store_unique(&mut self, path: &str, attrs: FileAttrs<'_>) -> Result<NodeId, VfsError> {
         use fmt::Write as _;
         let canonical;
         let path = if Self::is_canonical(path) {
@@ -1254,7 +1153,7 @@ mod tests {
     #[test]
     fn add_and_read_file() {
         let mut v = Vfs::new();
-        v.add_file("/pub/readme.txt", FileMeta::public(42).with_content("hello")).unwrap();
+        v.add_file("/pub/readme.txt", FileAttrs::public(42).with_content("hello")).unwrap();
         let f = v.file("/pub/readme.txt").unwrap();
         assert_eq!(f.size, 5); // with_content resizes
         assert_eq!(f.content, Some("hello"));
@@ -1277,7 +1176,7 @@ mod tests {
             let mut v = Vfs::new();
             let d = v.dir_handle("/d").unwrap();
             for n in order {
-                v.add_file_in(d, n, FileAttrs::public(n.len() as u64, DEFAULT_MTIME)).unwrap();
+                v.add_file_in(d, n, FileAttrs::public(n.len() as u64)).unwrap();
             }
             let report = obs::uninstall().expect("recorder installed").finish();
             (v, report.metrics.counter(obs::Counter::VfsNodes))
@@ -1300,7 +1199,7 @@ mod tests {
         let mut v = asc.clone();
         let d = v.dir_handle("/d").unwrap();
         let last = ascending.last().unwrap();
-        v.add_file_in(d, last, FileAttrs::public(999, DEFAULT_MTIME)).unwrap();
+        v.add_file_in(d, last, FileAttrs::public(999)).unwrap();
         assert_eq!(v.node_count(), asc.node_count());
         assert_eq!(listed(&v), ascending);
         assert_eq!(v.file(&format!("/d/{last}")).unwrap().size, 999);
@@ -1309,7 +1208,7 @@ mod tests {
     #[test]
     fn file_blocks_directory_path() {
         let mut v = Vfs::new();
-        v.add_file("/x", FileMeta::public(1)).unwrap();
+        v.add_file("/x", FileAttrs::public(1)).unwrap();
         assert!(matches!(v.mkdir_p("/x/y"), Err(VfsError::NotADirectory { .. })));
         assert!(matches!(v.node("/x/y"), Err(VfsError::NotADirectory { .. })));
     }
@@ -1325,11 +1224,11 @@ mod tests {
     #[test]
     fn store_unique_appends_suffixes() {
         let mut v = Vfs::new();
-        let a = v.store_unique("/up/probe.txt", FileMeta::public(1)).unwrap();
+        let a = v.store_unique("/up/probe.txt", FileAttrs::public(1)).unwrap();
         assert_eq!(v.path_of(a), "/up/probe.txt");
-        let b = v.store_unique("/up/probe.txt", FileMeta::public(1)).unwrap();
+        let b = v.store_unique("/up/probe.txt", FileAttrs::public(1)).unwrap();
         assert_eq!(v.path_of(b), "/up/probe.txt.1");
-        let c = v.store_unique("/up/probe.txt", FileMeta::public(1)).unwrap();
+        let c = v.store_unique("/up/probe.txt", FileAttrs::public(1)).unwrap();
         assert_eq!(v.path_of(c), "/up/probe.txt.2");
         assert_eq!(v.file_count(), 3);
     }
@@ -1337,8 +1236,8 @@ mod tests {
     #[test]
     fn remove_file_and_dir() {
         let mut v = Vfs::new();
-        v.add_file("/d/f1", FileMeta::public(1)).unwrap();
-        v.add_file("/d/sub/f2", FileMeta::public(1)).unwrap();
+        v.add_file("/d/f1", FileAttrs::public(1)).unwrap();
+        v.add_file("/d/sub/f2", FileAttrs::public(1)).unwrap();
         v.remove("/d/f1").unwrap();
         assert!(!v.exists("/d/f1"));
         v.remove("/d").unwrap(); // recursive
@@ -1350,20 +1249,20 @@ mod tests {
     #[test]
     fn rename_moves_subtree() {
         let mut v = Vfs::new();
-        v.add_file("/a/b/file", FileMeta::public(9)).unwrap();
+        v.add_file("/a/b/file", FileAttrs::public(9)).unwrap();
         v.rename("/a/b", "/c/moved").unwrap();
         assert!(v.exists("/c/moved/file"));
         assert!(!v.exists("/a/b"));
         assert!(matches!(v.rename("/missing", "/x"), Err(VfsError::NotFound { .. })));
-        v.add_file("/taken", FileMeta::public(1)).unwrap();
+        v.add_file("/taken", FileAttrs::public(1)).unwrap();
         assert!(matches!(v.rename("/c", "/taken"), Err(VfsError::AlreadyExists { .. })));
     }
 
     #[test]
     fn list_is_name_ordered() {
         let mut v = Vfs::new();
-        v.add_file("/d/zeta", FileMeta::public(1)).unwrap();
-        v.add_file("/d/alpha", FileMeta::public(1)).unwrap();
+        v.add_file("/d/zeta", FileAttrs::public(1)).unwrap();
+        v.add_file("/d/alpha", FileAttrs::public(1)).unwrap();
         v.mkdir_p("/d/beta").unwrap();
         let names: Vec<&str> = v.list("/d").unwrap().map(|(n, _)| n).collect();
         assert_eq!(names, vec!["alpha", "beta", "zeta"]);
@@ -1373,8 +1272,8 @@ mod tests {
     #[test]
     fn walk_visits_everything() {
         let mut v = Vfs::new();
-        v.add_file("/a/f1", FileMeta::public(1)).unwrap();
-        v.add_file("/a/b/f2", FileMeta::public(1)).unwrap();
+        v.add_file("/a/f1", FileAttrs::public(1)).unwrap();
+        v.add_file("/a/b/f2", FileAttrs::public(1)).unwrap();
         let paths: Vec<String> = walked(&v).into_iter().map(|(p, _)| p).collect();
         assert_eq!(paths, vec!["/a", "/a/b", "/a/b/f2", "/a/f1"]);
     }
@@ -1382,8 +1281,8 @@ mod tests {
     #[test]
     fn counts() {
         let mut v = Vfs::new();
-        v.add_file("/a/f1", FileMeta::public(1)).unwrap();
-        v.add_file("/a/b/f2", FileMeta::public(1)).unwrap();
+        v.add_file("/a/f1", FileAttrs::public(1)).unwrap();
+        v.add_file("/a/b/f2", FileAttrs::public(1)).unwrap();
         v.mkdir_p("/empty/nested").unwrap();
         assert_eq!(v.file_count(), 2);
         assert_eq!(v.dir_count(), 4); // a, a/b, empty, empty/nested
@@ -1393,7 +1292,7 @@ mod tests {
     fn bad_paths_rejected() {
         let mut v = Vfs::new();
         assert!(matches!(v.mkdir_p("/../escape"), Err(VfsError::BadPath { .. })));
-        assert!(matches!(v.add_file("/", FileMeta::public(1)), Err(VfsError::BadPath { .. })));
+        assert!(matches!(v.add_file("/", FileAttrs::public(1)), Err(VfsError::BadPath { .. })));
     }
 
     #[test]
@@ -1407,7 +1306,7 @@ mod tests {
     #[test]
     fn file_mut_updates_in_place() {
         let mut v = Vfs::new();
-        v.add_file("/f", FileMeta::public(1).with_owner(Owner::Anonymous)).unwrap();
+        v.add_file("/f", FileAttrs::public(1).with_owner(Owner::Anonymous)).unwrap();
         *v.file_mut("/f").unwrap().owner = Owner::Ftp;
         assert_eq!(v.file("/f").unwrap().owner, Owner::Ftp);
         assert!(v.file_mut("/nope").is_err());
@@ -1417,11 +1316,11 @@ mod tests {
     fn interner_dedups_and_counts_bytes() {
         let mut v = Vfs::new();
         let before = v.interned_bytes();
-        v.add_file("/x/a.txt", FileMeta::public(1)).unwrap();
+        v.add_file("/x/a.txt", FileAttrs::public(1)).unwrap();
         let after_first = v.interned_bytes();
         assert!(after_first > before);
         // Same names elsewhere in the tree intern to the same spans.
-        v.add_file("/y/a.txt", FileMeta::public(1)).unwrap();
+        v.add_file("/y/a.txt", FileAttrs::public(1)).unwrap();
         assert_eq!(v.interned_bytes(), after_first + 1, "only the new name byte 'y'");
         assert_eq!(v.node_count(), 1 + 4); // root + x, a.txt, y, a.txt
     }
@@ -1430,15 +1329,15 @@ mod tests {
     fn content_equality_ignores_history() {
         let mut a = Vfs::new();
         let mut b = Vfs::new();
-        a.add_file("/d/one", FileMeta::public(1)).unwrap();
-        a.add_file("/d/two", FileMeta::public(2)).unwrap();
+        a.add_file("/d/one", FileAttrs::public(1)).unwrap();
+        a.add_file("/d/two", FileAttrs::public(2)).unwrap();
         // Same tree, different construction order and extra churn.
-        b.add_file("/d/two", FileMeta::public(2)).unwrap();
-        b.add_file("/d/tmp", FileMeta::public(9)).unwrap();
+        b.add_file("/d/two", FileAttrs::public(2)).unwrap();
+        b.add_file("/d/tmp", FileAttrs::public(9)).unwrap();
         b.remove("/d/tmp").unwrap();
-        b.add_file("/d/one", FileMeta::public(1)).unwrap();
+        b.add_file("/d/one", FileAttrs::public(1)).unwrap();
         assert_eq!(a, b);
-        b.add_file("/d/one", FileMeta::public(7)).unwrap();
+        b.add_file("/d/one", FileAttrs::public(7)).unwrap();
         assert_ne!(a, b);
     }
 }

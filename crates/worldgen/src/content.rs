@@ -12,14 +12,14 @@
 //! Generators thread a [`GenScratch`] so materializing a host allocates
 //! only for arena growth: paths are built segment-by-segment in a
 //! reusable [`PathScratch`], mtimes render into a reused buffer, and
-//! files land via [`Vfs::add_file_attrs`] with everything borrowed.
+//! files land via [`Vfs::add_file`] with everything borrowed.
 
 use ftp_proto::listing::Permissions;
 use ftp_proto::decimal::push_u64;
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use simvfs::{FileAttrs, FileMeta, Owner, PathScratch, Vfs};
+use simvfs::{FileAttrs, Owner, PathScratch, Vfs};
 
 /// Reusable buffers threaded through world materialization; create one
 /// per host batch (or per test) and every generator call reuses it.
@@ -149,7 +149,7 @@ fn mtime_into(rng: &mut StdRng, out: &mut String) {
 /// Draws an mtime into `scratch` and returns public-file attrs for it.
 fn public_attrs<'a>(rng: &mut StdRng, size: u64, mtime_buf: &'a mut String) -> FileAttrs<'a> {
     mtime_into(rng, mtime_buf);
-    FileAttrs::public(size, mtime_buf)
+    FileAttrs::public(size).with_mtime(mtime_buf)
 }
 
 /// Generates a photo library under `base`: `count` default-named camera
@@ -379,8 +379,8 @@ pub fn printer_spool(rng: &mut StdRng, scratch: &mut GenScratch) -> Vfs {
 }
 
 /// Builds an exposed OS root with the marker directories §V keys on.
-/// Trees here are a handful of static paths, so the owned [`FileMeta`]
-/// builders stay — there is no per-file loop to starve of allocations.
+/// Each file with a drawn mtime draws it just before it is added; the
+/// SSH host key keeps the default mtime and draws nothing.
 pub fn os_root(rng: &mut StdRng, scratch: &mut GenScratch, kind: OsKind) -> Vfs {
     let mut vfs = Vfs::new();
     match kind {
@@ -391,20 +391,16 @@ pub fn os_root(rng: &mut StdRng, scratch: &mut GenScratch, kind: OsKind) -> Vfs 
                 vfs.mkdir_p(scratch.path.as_str()).expect("static path");
             }
             mtime_into(rng, &mut scratch.mtime);
-            let _ = vfs.add_file_attrs("/etc/passwd", FileAttrs::public(2_048, &scratch.mtime));
-            let _ = vfs.add_file(
-                "/etc/shadow",
-                FileMeta::private(718).with_owner(Owner::Root).with_mtime({
-                    mtime_into(rng, &mut scratch.mtime);
-                    scratch.mtime.as_str()
-                }),
-            );
-            let _ = vfs
-                .add_file("/etc/ssh/ssh_host_rsa_key", FileMeta::private(1_679).with_owner(Owner::Root));
+            let passwd = FileAttrs::public(2_048).with_mtime(&scratch.mtime);
+            let _ = vfs.add_file("/etc/passwd", passwd);
             mtime_into(rng, &mut scratch.mtime);
-            let _ = vfs.add_file_attrs(
+            let root_only = |size| FileAttrs::private(size).with_owner(Owner::Root);
+            let _ = vfs.add_file("/etc/shadow", root_only(718).with_mtime(&scratch.mtime));
+            let _ = vfs.add_file("/etc/ssh/ssh_host_rsa_key", root_only(1_679));
+            mtime_into(rng, &mut scratch.mtime);
+            let _ = vfs.add_file(
                 "/home/user/.bash_history",
-                FileAttrs::public(9_000, &scratch.mtime),
+                FileAttrs::public(9_000).with_mtime(&scratch.mtime),
             );
         }
         OsKind::Windows => {
@@ -414,11 +410,14 @@ pub fn os_root(rng: &mut StdRng, scratch: &mut GenScratch, kind: OsKind) -> Vfs 
                 vfs.mkdir_p(scratch.path.as_str()).expect("static path");
             }
             mtime_into(rng, &mut scratch.mtime);
-            let _ = vfs.add_file_attrs("/Windows/system.ini", FileAttrs::public(219, &scratch.mtime));
+            let _ = vfs.add_file(
+                "/Windows/system.ini",
+                FileAttrs::public(219).with_mtime(&scratch.mtime),
+            );
             mtime_into(rng, &mut scratch.mtime);
-            let _ = vfs.add_file_attrs(
+            let _ = vfs.add_file(
                 "/Users/owner/Documents/budget.xls",
-                FileAttrs::public(88_000, &scratch.mtime),
+                FileAttrs::public(88_000).with_mtime(&scratch.mtime),
             );
         }
         OsKind::OsX => {
@@ -428,9 +427,9 @@ pub fn os_root(rng: &mut StdRng, scratch: &mut GenScratch, kind: OsKind) -> Vfs 
                 vfs.mkdir_p(scratch.path.as_str()).expect("static path");
             }
             mtime_into(rng, &mut scratch.mtime);
-            let _ = vfs.add_file_attrs(
+            let _ = vfs.add_file(
                 "/Users/owner/Desktop/notes.txt",
-                FileAttrs::public(1_024, &scratch.mtime),
+                FileAttrs::public(1_024).with_mtime(&scratch.mtime),
             );
         }
     }

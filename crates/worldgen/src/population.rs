@@ -1230,9 +1230,8 @@ fn build_vfs(plan: &HostPlan, rng: &mut StdRng, scratch: &mut content::GenScratc
         // overruns the 500-request budget (~250+ dirs), shaped like the
         // giant photo archives the study actually hit.
         let rolls = rng.random_range(300..500);
-        // Static attrs (no per-file RNG draws, matching the legacy
-        // `FileMeta::public` default mtime).
-        let attrs = simvfs::FileAttrs::public(2_000_000, "Jun 18  2015");
+        // Static attrs: no per-file RNG draws, the default mtime.
+        let attrs = simvfs::FileAttrs::public(2_000_000);
         // `roll-{roll:03}` directories of `IMG_{i:04}.jpg` files, named
         // without `core::fmt`.
         let name = &mut scratch.name;
@@ -1262,13 +1261,7 @@ fn build_vfs(plan: &HostPlan, rng: &mut StdRng, scratch: &mut content::GenScratc
         } else {
             "User-agent: *\nDisallow: /private/\n"
         };
-        let _ = vfs.add_file_attrs(
-            "/robots.txt",
-            simvfs::FileAttrs {
-                content: Some(body),
-                ..simvfs::FileAttrs::public(body.len() as u64, "Jun 18  2015")
-            },
-        );
+        let _ = vfs.add_file("/robots.txt", simvfs::FileAttrs::public(0).with_content(body));
     }
     // Ensure writable servers have their writable directory.
     if t.writable {

@@ -47,6 +47,27 @@ use ftp_study::{
 };
 use worldgen::PopulationSpec;
 
+/// Writes report output to stdout. A reader that went away
+/// (`ftpcloud … | head`) ends the process quietly with exit 0 instead of
+/// a panic; any other write error is reported and exits 1.
+fn emit(args: std::fmt::Arguments<'_>) {
+    use std::io::Write as _;
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: could not write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// `println!` through [`emit`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 /// The numeric value of `name`, or `None` when the flag is absent. A
 /// present flag whose value is missing or not a number is a usage error
 /// (exit 2), never a silent fall-back to the default.
@@ -143,7 +164,7 @@ fn write_obs_outputs(report: Option<&obs::Report>, cli: &ObsCli, journal: Option
         }
     }
     if cli.profile {
-        println!("{}", report.render_profile());
+        outln!("{}", report.render_profile());
     }
 }
 
@@ -179,7 +200,7 @@ fn explain(args: &[String]) {
             std::process::exit(1);
         }
         for j in matched {
-            println!("{}", j.timeline());
+            outln!("{}", j.timeline());
         }
         return;
     }
@@ -188,7 +209,7 @@ fn explain(args: &[String]) {
     let top = str_flag(args, "--top");
     let gave_up_total: u64 = s.gave_up.iter().map(|&(_, n)| n).sum();
     if top.is_none() {
-        println!(
+        outln!(
             "journal: {} hosts probed, {} open, {} sessions, {} ftp, {} anonymous, \
              {} gave up, {} connect retries",
             s.hosts, s.open, s.sessions, s.ftp, s.anonymous, gave_up_total, s.retries
@@ -202,21 +223,21 @@ fn explain(args: &[String]) {
         };
         let violations = funnel.invariant_violations();
         if violations.is_empty() {
-            println!("funnel invariants: ok");
+            outln!("funnel invariants: ok");
         } else {
-            println!("funnel invariants: VIOLATED: {}", violations.join("; "));
+            outln!("funnel invariants: VIOLATED: {}", violations.join("; "));
         }
     }
     if matches!(top, None | Some("gave-up")) {
-        println!("gave up, by reason:");
+        outln!("gave up, by reason:");
         for (reason, n) in &s.gave_up {
-            println!("{n:>8}  {reason}");
+            outln!("{n:>8}  {reason}");
         }
     }
     if matches!(top, None | Some("faults")) {
-        println!("fault encounters, by kind:");
+        outln!("fault encounters, by kind:");
         for (kind, n) in &s.faults {
-            println!("{n:>8}  {kind}");
+            outln!("{n:>8}  {kind}");
         }
     }
     if let Some(other) = top {
@@ -260,7 +281,7 @@ fn main() {
                     std::process::exit(2);
                 }
                 let results = run_study_sharded(&cfg, shards);
-                println!("{}", tables::full_report(&results));
+                outln!("{}", tables::full_report(&results));
                 write_obs_outputs(results.obs.as_ref(), &obs_cli, obs_cli.journal);
                 return;
             };
@@ -277,7 +298,7 @@ fn main() {
             };
             match run_study_streamed(&cfg, &opts) {
                 Ok(StreamOutcome::Complete(results)) => {
-                    println!("{}", tables::stream_report(&results.aggregate, &results.spec));
+                    outln!("{}", tables::stream_report(&results.aggregate, &results.spec));
                     eprintln!(
                         "streamed {} shard(s) × {} batch(es) of ≤{} hosts",
                         results.shards, results.batches, batch_size
@@ -306,7 +327,7 @@ fn main() {
                 StudyConfig::small(seed, servers).with_fault_fraction(faults as f64 / 100.0);
             cfg.obs = obs_cli.cfg;
             let results = run_study_sharded(&cfg, shards);
-            println!("{}", tables::table01_funnel(&aggregate_of(&results)));
+            outln!("{}", tables::table01_funnel(&aggregate_of(&results)));
             write_obs_outputs(results.obs.as_ref(), &obs_cli, obs_cli.journal);
         }
         Some("explain") => {
@@ -316,32 +337,32 @@ fn main() {
             let days = flag(&args, "--days").unwrap_or(90);
             let pots = flag(&args, "--pots").unwrap_or(8) as usize;
             let report = ftp_study::run_honeypot_experiment(seed, pots, days);
-            println!("{report:#?}");
+            outln!("{report:#?}");
         }
         Some("certify") => {
             let servers = flag(&args, "--servers").unwrap_or(800) as usize;
             let results = run_study(&StudyConfig::small(seed, servers));
             let (rate, failing) = analysis::cyberul::fleet_summary(&results.records);
-            println!("CyberUL pass rate: {:.1}%", rate * 100.0);
+            outln!("CyberUL pass rate: {:.1}%", rate * 100.0);
             for (check, count) in failing {
-                println!("{count:>6}  {check}");
+                outln!("{count:>6}  {check}");
             }
         }
         Some("verdicts") => {
             let servers = flag(&args, "--servers").unwrap_or(900) as usize;
             let results = run_study(&StudyConfig::small(seed, servers));
-            println!("{}", ftp_study::verdicts::render(&results));
+            outln!("{}", ftp_study::verdicts::render(&results));
             let (ok, approx, noise) = ftp_study::verdicts::scoreboard(&results);
-            println!("{ok} reproduced, {approx} approximate, {noise} small-N");
+            outln!("{ok} reproduced, {approx} approximate, {noise} small-N");
         }
         Some("notify") => {
             let servers = flag(&args, "--servers").unwrap_or(800) as usize;
             let results = run_study(&StudyConfig::small(seed, servers));
             let digests =
                 analysis::notify::build_digests(&results.records, &results.truth.registry);
-            println!("{} networks require notification\n", digests.len());
+            outln!("{} networks require notification\n", digests.len());
             for d in digests.iter().take(10) {
-                println!("{}", d.render());
+                outln!("{}", d.render());
             }
         }
         _ => {

@@ -2,9 +2,9 @@
 //! invariants the whole reproduction leans on.
 
 use analysis::StreamingAggregate;
-use ftp_proto::listing::{self, ListingEntry, ListingFormat, Permissions};
-use ftp_proto::reply::ReplyParser;
-use ftp_proto::{Command, FtpPath, HostPort, LineCodec, Reply, Robots};
+use ftp_proto::listing::{self, ListingEntryRef, ListingFormat, Permissions};
+use ftp_proto::reply::reply;
+use ftp_proto::{Command, FtpPath, HostPort, LineCodec, ReplyBuf, Robots};
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 use zscan::CyclicPermutation;
@@ -151,20 +151,20 @@ proptest! {
     fn reply_wire_roundtrip_chunked(code in 100u16..600,
                                     lines in proptest::collection::vec("[a-zA-Z0-9 .,]{0,40}", 1..5),
                                     chunk in 1usize..7) {
-        let reply = Reply::multiline(code, lines);
-        let wire = reply.to_wire();
+        let mut wire = String::new();
+        reply(&mut wire, code, lines.iter().map(String::as_str));
         let mut codec = LineCodec::new();
-        let mut parser = ReplyParser::new();
+        let mut parser = ReplyBuf::new();
         let mut out = None;
         for piece in wire.as_bytes().chunks(chunk) {
             codec.extend(piece);
-            while let Some(line) = codec.next_line().unwrap() {
-                if let Some(r) = parser.push_line(&line).unwrap() {
-                    out = Some(r);
+            while let Some(line) = codec.next_line_str().unwrap() {
+                if let Some(r) = parser.push_line(line).unwrap() {
+                    out = Some((r.code().value(), r.line_count(), r.full_text().to_owned()));
                 }
             }
         }
-        prop_assert_eq!(out.expect("complete reply"), reply);
+        prop_assert_eq!(out.expect("complete reply"), (code, lines.len(), lines.join("\n")));
     }
 
     /// Every command the wire format can print is re-parseable to an
@@ -189,19 +189,19 @@ proptest! {
     #[test]
     fn listing_render_parse(name in "[a-zA-Z0-9_.-]{1,20}", size in 0u64..10_000_000_000,
                             is_dir in any::<bool>()) {
-        let entry = ListingEntry {
-            name: name.clone(),
+        let entry = ListingEntryRef {
+            name: &name,
             is_dir,
             size: Some(size),
             permissions: Some(Permissions::public_file()),
-            owner: Some("ftp".into()),
-            mtime: Some("Jun 18  2015".into()),
-            is_symlink: false,
+            owner: Some("ftp"),
+            mtime: Some("Jun 18  2015"),
         };
         for fmt in [ListingFormat::Unix, ListingFormat::Dos, ListingFormat::Eplf, ListingFormat::Mlsd] {
-            let line = listing::render_line(&entry, fmt);
-            let parsed = listing::parse_line(&line, fmt).unwrap().unwrap();
-            prop_assert_eq!(&parsed.name, &name, "{:?}: {}", fmt, line);
+            let mut line = String::new();
+            listing::render_line_into(entry, fmt, &mut line);
+            let parsed = listing::parse_line_ref(&line, fmt).unwrap().unwrap();
+            prop_assert_eq!(parsed.name, name.as_str(), "{:?}: {}", fmt, line);
             prop_assert_eq!(parsed.is_dir, is_dir);
             if !is_dir {
                 prop_assert_eq!(parsed.size, Some(size));
@@ -322,15 +322,15 @@ proptest! {
         let mut whole = LineCodec::new();
         whole.extend(stream.as_bytes());
         let mut expected = Vec::new();
-        while let Some(l) = whole.next_line().unwrap() {
-            expected.push(l);
+        while let Some(l) = whole.next_line_str().unwrap() {
+            expected.push(l.to_owned());
         }
         let mut chunked = LineCodec::new();
         let mut got = Vec::new();
         for piece in stream.as_bytes().chunks(chunk) {
             chunked.extend(piece);
-            while let Some(l) = chunked.next_line().unwrap() {
-                got.push(l);
+            while let Some(l) = chunked.next_line_str().unwrap() {
+                got.push(l.to_owned());
             }
         }
         prop_assert_eq!(got, expected);
