@@ -3,9 +3,9 @@
 //! from the aggregate fold (or, for the record-only artifacts, from the
 //! enumeration records and per-AS tallies).
 //!
-//! Run with `cargo bench -p bench` (or `--bench paper_tables`). The
-//! printed tables are the reproduction's evaluation output; the timing
-//! shows each analysis is cheap relative to data collection.
+//! Run with `cargo bench --bench paper_tables`. The printed tables are
+//! the reproduction's evaluation output; the timing shows each analysis
+//! is cheap relative to data collection.
 
 use analysis::{ases, bounce, campaigns, cve, exposure, fingerprint, ftps, writable};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -89,6 +89,19 @@ fn kernels_bench(c: &mut Criterion) {
     });
 }
 
+/// The §VIII honeypot experiment.
+fn honeypot_bench(c: &mut Criterion) {
+    let mut g = c.benchmark_group("sec8_honeypot");
+    g.sample_size(10);
+    g.bench_function("8pots_90days", |b| {
+        b.iter(|| black_box(ftp_study::run_honeypot_experiment(7, 8, 90)))
+    });
+    // Print the regenerated §VIII report once.
+    let report = ftp_study::run_honeypot_experiment(7, 8, 90);
+    println!("SECTION VIII (measured): {report:#?}");
+    g.finish();
+}
+
 fn configured() -> Criterion {
     Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2))
 }
@@ -96,6 +109,6 @@ fn configured() -> Criterion {
 criterion_group! {
     name = benches;
     config = configured();
-    targets = tables_bench, kernels_bench
+    targets = tables_bench, kernels_bench, honeypot_bench
 }
 criterion_main!(benches);

@@ -88,10 +88,10 @@ impl ObsConfig {
         self.metrics || self.trace || self.profile || self.journal || self.timeseries_every_us > 0
     }
 
-    /// Everything from the PR-4 surface on — used by tests and the
-    /// bench overhead stage. Journaling and the time-series sampler stay
-    /// off here so the long-standing `full_study_k1_obs` bench baseline
-    /// keeps measuring the same work; they have their own bench stage.
+    /// Metrics, trace and profile collection: the "all collectors on"
+    /// configuration of the tests and the allocation ceilings. Journaling
+    /// and the time-series sampler stay off here; callers request them
+    /// on their own.
     #[must_use]
     pub fn all() -> Self {
         ObsConfig { metrics: true, trace: true, profile: true, ..ObsConfig::default() }

@@ -4,8 +4,8 @@
 //! The registry is deliberately *closed*: every counter, gauge, and
 //! histogram is an enum variant declared here, so a snapshot is a flat
 //! array indexed by discriminant — no hashing, no interning, no
-//! allocation on the hot path — and the bench `metrics` block has a
-//! stable, enumerable schema to diff against.
+//! allocation on the hot path — and every counter has a stable name
+//! that tests can pin.
 
 /// Declares the [`Counter`] enum plus its name table in one place so the
 /// variant list and the stable snake_case wire names cannot drift apart.
@@ -275,9 +275,8 @@ impl MetricsSnapshot {
     }
 
     /// Renders the snapshot as deterministic, hand-rolled JSON (the
-    /// vendored serde is a stub; see `bench::pipeline::render_json` for
-    /// the same convention). Key order follows declaration order, so
-    /// the output is stable across runs and diffable.
+    /// vendored serde is a stub). Key order follows declaration order,
+    /// so the output is stable across runs and diffable.
     #[must_use]
     pub fn render_json(&self) -> String {
         let mut out = String::with_capacity(2048);

@@ -366,3 +366,81 @@ fn report_bytes_match_pinned_digests() {
     assert_eq!(streamed.len(), 8_524, "streamed report length changed");
     assert_eq!(fnv1a(streamed.as_bytes()), 0xfc1b_4802_cce1_1f7e, "streamed report bytes changed (2 shards, batch 64)");
 }
+
+/// Every behaviour counter of a 600-server study (seed 1, K=1),
+/// pinned exactly, on a clean world and with half the hosts hostile.
+/// The counts are a pure function of the seed and the configuration,
+/// so any difference is a behaviour change, never timing noise. A
+/// counter added to `obs::Counter` fails here until its values are
+/// pinned. The hostile row shows the fault paths firing: connect
+/// retries and failures, backoff waits, and `codec_lines_copied` —
+/// garbage replies are random bytes, so some lines are not valid UTF-8
+/// and take the lossy copy instead of the borrow.
+#[test]
+fn behaviour_counters_match_pinned_table() {
+    // (counter, clean, 50% hostile)
+    const PINNED: &[(&str, u64, u64)] = &[
+        ("sim_events",                  100_116,   63_312),
+        ("sim_ev_data",                 40_347,    25_578),
+        ("sim_ev_timer",                30_025,    18_541),
+        ("sim_ev_connect",              21_381,    13_515),
+        ("sim_ev_close",                6_901,     4_216),
+        ("sim_ev_probe",                262_144,   262_144),
+        ("connects",                    7_127,     4_572),
+        ("connect_failures",            0,         149),
+        ("connect_retries",             0,         98),
+        ("backoff_wait_us",             0,         147_000_000),
+        ("replies_total",               19_866,    11_411),
+        ("reply_1xx",                   5_533,     3_013),
+        ("reply_2xx",                   12_648,    7_174),
+        ("reply_3xx",                   540,       405),
+        ("reply_4xx",                   0,         0),
+        ("reply_5xx",                   1_145,     819),
+        ("reply_other",                 0,         0),
+        ("sessions_started",            950,       950),
+        ("sessions_finished",           950,       950),
+        ("gave_ups",                    350,       495),
+        ("step_timeouts",               171,       224),
+        ("listing_bytes",               6_882_807, 3_884_618),
+        ("probes_sent",                 262_144,   262_144),
+        ("vfs_ops",                     203_005,   195_959),
+        ("vfs_nodes",                   182_467,   182_467),
+        ("vfs_interned_bytes",          309_477,   309_477),
+        ("scan_slots",                  262_144,   262_144),
+        ("wheel_inserts",               100_116,   63_312),
+        ("wheel_cascades",              95_868,    69_848),
+        ("wheel_cascaded_entries",      248_425,   160_967),
+        ("hosts_materialized",          950,       950),
+        ("http_observations",           374,       267),
+        ("funnel_invariant_violations", 0,         0),
+        ("codec_lines_borrowed",        34_304,    19_958),
+        ("codec_lines_copied",          0,         12),
+        ("list_cache_hits",             0,         0),
+        ("vfs_dead_nodes",              0,         0),
+    ];
+    let metrics = |mut cfg: StudyConfig| {
+        cfg.obs = obs::ObsConfig { metrics: true, ..obs::ObsConfig::default() };
+        run_study(&cfg).obs.expect("metrics requested").metrics
+    };
+    let clean = metrics(StudyConfig::small(1, 600));
+    let hostile = metrics(StudyConfig::small(1, 600).with_fault_fraction(0.5));
+
+    let mut diffs = Vec::new();
+    for c in obs::Counter::ALL {
+        let name = c.name();
+        let now = (clean.counter(c), hostile.counter(c));
+        match PINNED.iter().find(|(n, ..)| *n == name) {
+            Some(&(_, want_clean, want_hostile)) if now == (want_clean, want_hostile) => {}
+            Some(&(_, want_clean, want_hostile)) => diffs.push(format!(
+                "{name}: (clean, hostile) = {now:?}, pinned ({want_clean}, {want_hostile})"
+            )),
+            None => diffs.push(format!("{name}: no pinned value; measured {now:?}")),
+        }
+    }
+    for (name, ..) in PINNED {
+        if !obs::Counter::ALL.iter().any(|c| c.name() == *name) {
+            diffs.push(format!("{name}: pinned, but no such counter"));
+        }
+    }
+    assert!(diffs.is_empty(), "behaviour counters changed:\n{}", diffs.join("\n"));
+}
